@@ -61,7 +61,6 @@ def _add_output_arguments(parser, tol=True):
 
 
 def _resolve_model(args):
-    table = None
     if args.table_file is not None:
         table = load_optical_table(args.table_file, parse_extrapolation(args.extrapolation))
         return build_model("table", table=table)
@@ -107,22 +106,16 @@ def _run_lifshitz_table(args, include_pressure):
     config = EvaluationConfig(rel_tolerance=args.tol)
     grid = _z_grid(args)
     results = [free_energy(float(z), args.temperature, model, config) for z in grid]
-    if include_pressure:
-        columns = ("z_m", "free_energy_J_per_m2", "pressure_Pa", "terms_used",
-                   "zero_frequency_share", "error_estimate")
-        rows = [
-            (r.z, r.free_energy_per_area, r.pressure, r.terms_used,
-             r.zero_frequency_share, r.quadrature_error_estimate)
-            for r in results
-        ]
-    else:
-        columns = ("z_m", "free_energy_J_per_m2", "terms_used",
-                   "zero_frequency_share", "error_estimate")
-        rows = [
-            (r.z, r.free_energy_per_area, r.terms_used,
-             r.zero_frequency_share, r.quadrature_error_estimate)
-            for r in results
-        ]
+    columns = ("z_m", "free_energy_J_per_m2", "pressure_Pa", "terms_used",
+               "zero_frequency_share", "error_estimate")
+    rows = [
+        (r.z, r.free_energy_per_area, r.pressure, r.terms_used,
+         r.zero_frequency_share, r.quadrature_error_estimate)
+        for r in results
+    ]
+    if not include_pressure:
+        columns = columns[:2] + columns[3:]
+        rows = [row[:2] + row[3:] for row in rows]
     run_config = {
         "command": "pressure" if include_pressure else "free-energy",
         "z_min_um": args.z_min_um,
@@ -295,23 +288,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pressure", help="free energy and pressure over a separation grid")
-    p.add_argument("--z-min-um", type=float, required=True)
-    p.add_argument("--z-max-um", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--temperature", "-T", type=float, default=300.0)
-    _add_model_arguments(p)
-    _add_output_arguments(p)
-    p.set_defaults(handler=cmd_pressure)
-
-    p = sub.add_parser("free-energy", help="free energy over a separation grid")
-    p.add_argument("--z-min-um", type=float, required=True)
-    p.add_argument("--z-max-um", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--temperature", "-T", type=float, default=300.0)
-    _add_model_arguments(p)
-    _add_output_arguments(p)
-    p.set_defaults(handler=cmd_free_energy)
+    for name, handler, help_text in (
+        ("pressure", cmd_pressure, "free energy and pressure over a separation grid"),
+        ("free-energy", cmd_free_energy, "free energy over a separation grid"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--z-min-um", type=float, required=True)
+        p.add_argument("--z-max-um", type=float, required=True)
+        p.add_argument("--points", type=int, required=True)
+        p.add_argument("--temperature", "-T", type=float, default=300.0)
+        _add_model_arguments(p)
+        _add_output_arguments(p)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("entropy", help="entropy scan toward T = 0 with a Nernst verdict")
     p.add_argument("--z-um", type=float, required=True)

@@ -7,9 +7,15 @@ conversion point :func:`ev_to_angular_frequency`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import scipy.constants as _codata
+# h, e, k_B and c are exact SI defining values; G is the CODATA recommended
+# value (unchanged from 2018 to 2022).
+_HBAR = 6.62607015e-34 / (2.0 * math.pi)
+
+#: Apery's constant zeta(3), correctly rounded to double precision.
+ZETA3 = 1.2020569031595942
 
 
 @dataclass(frozen=True)
@@ -31,11 +37,11 @@ class PhysicalConstants:
         to e/hbar.
     """
 
-    hbar: float = _codata.hbar
-    c: float = _codata.c
-    k_B: float = _codata.k
-    G: float = _codata.G
-    ev_to_rad_per_s: float = _codata.e / _codata.hbar
+    hbar: float = _HBAR
+    c: float = 299792458.0
+    k_B: float = 1.380649e-23
+    G: float = 6.6743e-11
+    ev_to_rad_per_s: float = 1.602176634e-19 / _HBAR
 
 
 CONSTANTS = PhysicalConstants()

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import zeta
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, ZETA3
 from .errors import ConvergenceError, DomainError
-from .lifshitz import EvaluationConfig, _free_energy_value
+from .lifshitz import _PANEL_ORDER, EvaluationConfig, _free_energy_value
 from .materials import Drude, PowerLawGamma
+from .quadrature import L0_EDGES, panel_rule, split_edges
 
 #: Engine tolerance used for entropy differences; the free-energy differences
 #: being differentiated are three to four orders below the free energy itself.
@@ -29,6 +28,9 @@ _ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 #: Verdict thresholds in units of the extrapolation uncertainty.
 VIOLATION_THRESHOLD = 5.0
 CLEARANCE_THRESHOLD = 1.0
+
+#: Panel refinements of the zero-temperature entropy integral before giving up.
+_MAX_LEVELS = 6
 
 #: Cold-end fit variants: (polynomial degree, number of coldest grid points).
 _FIT_VARIANTS = ((2, 12), (2, 9), (2, 6), (1, 5))
@@ -89,6 +91,11 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
     g = (y - sqrt(yhat^2 + y^2)) / (y + sqrt(yhat^2 + y^2)) and
     yhat = 2 z omega_p / c.  Strictly negative for every omega_p > 0.
 
+    The integrand behaves like y ln y at the origin, as the ideal-metal l = 0
+    term does, so it is integrated on the engine's graded l = 0 panels, split
+    in two until consecutive levels agree; ConvergenceError, carrying the
+    best estimate, if they still differ after ``_MAX_LEVELS`` splits.
+
     Parameters
     ----------
     z : float
@@ -96,26 +103,29 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
     omega_p : float
         Plasma frequency, rad/s.
     rel_tol : float
-        Relative tolerance of the adaptive quadrature.
+        Relative tolerance of the panel refinement, against max(|I|, zeta(3)).
     """
     if z <= 0.0 or omega_p <= 0.0:
         raise DomainError("separation and plasma frequency must be positive")
     y_hat = 2.0 * z * omega_p / CONSTANTS.c
+    prefactor = CONSTANTS.k_B / (16.0 * np.pi * z**2)
 
-    def integrand(y):
+    def integral(edges):
+        y, weights = panel_rule(edges, _PANEL_ORDER)
         root = np.sqrt(y_hat**2 + y * y)
         g = (y - root) / (y + root)
-        return y * np.log1p(-(g * g) * np.exp(-y))
+        return (y * np.log1p(-(g * g) * np.exp(-y))) @ weights
 
-    value, abserr, info = quad(integrand, 0.0, 80.0, epsabs=0.0, epsrel=rel_tol,
-                               limit=200, full_output=True)[:3]
-    if abs(abserr) > 10.0 * rel_tol * abs(value):
-        raise ConvergenceError(
-            "zero-temperature entropy quadrature did not converge",
-            best_estimate=CONSTANTS.k_B / (16.0 * np.pi * z**2) * value,
-            achieved_tolerance=abs(abserr) / max(abs(value), 1e-300),
-        )
-    return CONSTANTS.k_B / (16.0 * np.pi * z**2) * value
+    edges = np.asarray(L0_EDGES)
+    value = integral(edges)
+    for _ in range(_MAX_LEVELS):
+        previous, edges = value, split_edges(edges)
+        value = integral(edges)
+        achieved = abs(value - previous) / max(abs(value), ZETA3)
+        if achieved <= rel_tol:
+            return prefactor * value
+    raise ConvergenceError("zero-temperature entropy quadrature did not converge",
+                           best_estimate=prefactor * value, achieved_tolerance=achieved)
 
 
 def entropy_large_z_limit(z):
@@ -125,7 +135,7 @@ def entropy_large_z_limit(z):
     """
     if z <= 0.0:
         raise DomainError("separation must be positive")
-    return -CONSTANTS.k_B * zeta(3.0) / (16.0 * np.pi * z**2)
+    return -CONSTANTS.k_B * ZETA3 / (16.0 * np.pi * z**2)
 
 
 @dataclass(frozen=True)

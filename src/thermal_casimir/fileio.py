@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,12 @@ def _data_rows(path, columns, separators=True):
         if len(parts) != columns:
             raise FileFormatError(f"{path}:{number}: expected {columns} columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise FileFormatError(f"{path}:{number}: non-numeric value in {line!r}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise FileFormatError(f"{path}:{number}: non-finite value in {line!r}")
+        rows.append(row)
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
     return np.asarray(rows)

@@ -28,19 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, ZETA3
 from .errors import ConvergenceError, DomainError
-from .quadrature import panel_rule, split_edges
+from .quadrature import L0_EDGES, panel_rule, split_edges
 
-# The l = 0 term of a perfectly reflecting material behaves like y*ln(y) at
-# the origin; geometric grading of the first panels resolves it.  Terms with
-# l >= 1 are analytic in y and use the plain set.
-_L0_EDGES = (
-    0.0, 1.52587890625e-05, 2.44140625e-04, 1.953125e-03, 1.5625e-02,
-    0.0625, 0.25, 1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0,
-)
+# The l = 0 term uses the graded L0_EDGES; terms with l >= 1 are analytic in y
+# and use the plain set.
 _LK_EDGES = (0.0, 0.0625, 0.25, 1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0)
 _PANEL_ORDER = 8
 _COARSE_DIAGNOSTIC_EDGES = (0.0, 20.0, 40.0)
@@ -117,7 +111,7 @@ def _rule_for_level(level, scheme):
             edges = split_edges(edges)
         edges = tuple(edges)
         return _Rule(edges, edges, 2)
-    l0 = np.asarray(_L0_EDGES)
+    l0 = np.asarray(L0_EDGES)
     lk = np.asarray(_LK_EDGES)
     for _ in range(level):
         l0 = split_edges(l0)
@@ -390,7 +384,7 @@ def classical_limit(z, temperature, prescription="ideal"):
     """
     if z <= 0.0 or temperature <= 0.0:
         raise DomainError("separation and temperature must be positive")
-    value = -CONSTANTS.k_B * temperature * zeta(3.0) / (8.0 * np.pi * z**2)
+    value = -CONSTANTS.k_B * temperature * ZETA3 / (8.0 * np.pi * z**2)
     if prescription == "ideal":
         return value
     if prescription == "drude-like":

@@ -19,6 +19,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import DomainError, ExtrapolationError, PrescriptionError
+from .quadrature import panel_rule
 from .reflection import ReflectionPair, fresnel_reflection, impedance_reflection
 
 _ZERO_XI_MESSAGE = "zero-frequency term must use the prescription rule, not eps(i*xi)"
@@ -246,10 +247,12 @@ class OpticalTable:
     provenance: str = ""
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        im_eps = np.asarray(self.im_eps, dtype=float)
+        omega = np.array(self.omega, dtype=float)
+        im_eps = np.array(self.im_eps, dtype=float)
         if omega.ndim != 1 or omega.size < 2 or omega.shape != im_eps.shape:
             raise DomainError("optical table needs matching 1-d omega and Im eps columns")
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(im_eps))):
+            raise DomainError("optical table values must be finite")
         if omega[0] <= 0.0 or np.any(np.diff(omega) <= 0.0):
             raise DomainError("optical table frequencies must be positive and strictly increasing")
         if np.any(im_eps < 0.0):
@@ -258,22 +261,10 @@ class OpticalTable:
             self.extrapolation, (DrudeTail, ConstantEpsilon)
         ):
             raise DomainError("unknown extrapolation rule")
-        omega = omega.copy()
-        im_eps = im_eps.copy()
         omega.setflags(write=False)
         im_eps.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "im_eps", im_eps)
-
-
-def _gl_map(edges, order):
-    """Gauss-Legendre nodes/weights on a fresh (uncached) panel sequence."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
 
 
 def _grid_dispersion_integral(xi, table, rel_tol):
@@ -288,7 +279,7 @@ def _grid_dispersion_integral(xi, table, rel_tol):
     for level in range(5):
         pieces = np.linspace(u[:-1], u[1:], 2**level + 1, axis=1)
         edges = np.append(pieces[:, :-1].ravel(), u[-1])
-        nodes_u, weights = _gl_map(edges, 8)
+        nodes_u, weights = panel_rule(edges, 8)
         omega = np.exp(nodes_u)
         absorption = np.interp(nodes_u, u, table.im_eps)
         # integrand in u: omega^2 * Im eps / (omega^2 + xi^2)

@@ -5,6 +5,11 @@ panels.  A rule is the flattened set of mapped Gauss-Legendre nodes and
 weights for a sequence of panel edges; refinement splits every panel in two,
 so comparing two consecutive levels gives a defensible error estimate without
 nested rules.
+
+Every Gauss-Legendre rule in the library comes from :func:`panel_rule`.  Its
+three callers are the Matsubara engine (:mod:`.lifshitz`), the zero-temperature
+Drude entropy integral (:func:`.entropy.drude_zero_T_entropy`) and the
+dispersion integral of tabulated optical data (:func:`.materials.eps_from_table`).
 """
 
 from __future__ import annotations
@@ -13,11 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
-
-@lru_cache(maxsize=None)
-def _leggauss(order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+#: Panel edges in y for integrands that behave like y*ln(y) at the origin (the
+#: l = 0 Matsubara term of a perfect reflector, the zero-temperature Drude
+#: entropy); geometric grading of the first panels resolves the singularity.
+L0_EDGES = (
+    0.0, 1.52587890625e-05, 2.44140625e-04, 1.953125e-03, 1.5625e-02,
+    0.0625, 0.25, 1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0,
+)
 
 
 def split_edges(edges):
@@ -33,7 +40,7 @@ def split_edges(edges):
 @lru_cache(maxsize=None)
 def _panel_rule_cached(edges_key, order):
     edges = np.asarray(edges_key, dtype=float)
-    base_x, base_w = _leggauss(order)
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()

@@ -226,16 +226,16 @@ class ResidualBound:
     delta_tot: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        delta = np.asarray(self.delta_tot, dtype=float)
+        z = np.array(self.z, dtype=float)
+        delta = np.array(self.delta_tot, dtype=float)
         if z.ndim != 1 or z.size == 0 or z.shape != delta.shape:
             raise DomainError("residual bound needs matching z and delta columns")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(delta))):
+            raise DomainError("residual bound values must be finite")
         if z[0] <= 0.0 or np.any(np.diff(z) <= 0.0):
             raise DomainError("z grid must be positive and strictly increasing")
         if np.any(delta <= 0.0):
             raise DomainError("confidence half-widths must be positive")
-        z = z.copy()
-        delta = delta.copy()
         z.setflags(write=False)
         delta.setflags(write=False)
         object.__setattr__(self, "z", z)

@@ -3,10 +3,11 @@
 Every oracle here deliberately follows a different route than the library:
 pairwise-sum quantities are reduced to low-dimensional integrals evaluated
 with scipy quadrature and differentiated by central differences, and special
-function integrals use composite fixed-order Gauss-Legendre panels instead of
-the library's adaptive calls.
+function integrals use composite fixed-order Gauss-Legendre panels or 30-digit
+mpmath tanh-sinh quadrature instead of the library's panel refinement.
 """
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate
 
@@ -107,6 +108,23 @@ def drude_zero_entropy_numeric(z, omega_p):
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
         total += half * np.sum(weights * integrand(mid + half * nodes))
     return sc.k / (16.0 * np.pi * z**2) * total
+
+
+def drude_zero_entropy_mp(z, omega_p):
+    """30-digit tanh-sinh version of the entropy integral.
+
+    Uses the cancellation-free form g = -yhat^2 / (y + sqrt(yhat^2 + y^2))^2
+    and integrates to infinity rather than to a cut-off.
+    """
+    with mp.workdps(30):
+        y_hat = 2 * mp.mpf(z) * mp.mpf(omega_p) / mp.mpf(sc.c)
+
+        def integrand(y):
+            g = -y_hat**2 / (y + mp.sqrt(y_hat**2 + y * y)) ** 2
+            return y * mp.log1p(-g * g * mp.exp(-y))
+
+        total = mp.quad(integrand, [0, 1, 4, 16, 40, mp.inf])
+        return float(sc.k / (16 * mp.pi * mp.mpf(z) ** 2) * total)
 
 
 # ---------------------------------------------------------------------------

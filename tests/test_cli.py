@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,22 @@ class TestOpticsConvertCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ("optics-convert", "--xi-min-ev", "0.1", "--xi-max-ev", "1", "--points", "3"),
+        ("free-energy", "--z-min-um", "1", "--z-max-um", "1", "--points", "1"),
+    ])
+    def test_non_finite_table_value_is_a_parse_error(self, tmp_path, command, value, capsys):
+        table_file = tmp_path / "t.txt"
+        table_file.write_text(f"1.0 0.5\n2.0 {value}\n3.0 0.2\n")
+        out = tmp_path / "out.csv"
+        out.write_text("previous result\n")
+        code = main([*command, "--table-file", str(table_file),
+                     "--extrapolation", "constant:5", "--out", str(out)])
+        assert code == 2
+        assert f"{table_file}:2: non-finite" in capsys.readouterr().err
+        assert out.read_text() == "previous result\n"
+
     def test_bad_extrapolation_spec(self, tmp_path):
         table_file = tmp_path / "t.txt"
         table_file.write_text("1.0 0.5\n2.0 0.2\n")
@@ -329,3 +349,12 @@ class TestOpticsConvertCommand:
                       "--extrapolation", "cubic:1", "--xi-min-ev", "0.1",
                       "--xi-max-ev", "1", "--points", "3")
         assert code == 2
+
+
+def test_import_does_not_load_scipy():
+    package_root = Path(tc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    probe = "import sys, thermal_casimir.cli; print('scipy' in sys.modules)"
+    completed = subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True, check=True)
+    assert completed.stdout.strip() == "False"

@@ -2,9 +2,11 @@ import dataclasses
 
 import pytest
 import scipy.constants as sc
+from scipy.special import zeta
 
 from thermal_casimir.constants import (
     CONSTANTS,
+    ZETA3,
     angular_frequency_to_ev,
     ev_to_angular_frequency,
 )
@@ -15,6 +17,8 @@ def test_codata_values():
     assert CONSTANTS.c == sc.c
     assert CONSTANTS.k_B == sc.k
     assert CONSTANTS.G == sc.G
+    assert CONSTANTS.ev_to_rad_per_s == sc.e / sc.hbar
+    assert ZETA3 == zeta(3.0)
 
 
 def test_ev_conversion_factor_is_e_over_hbar():

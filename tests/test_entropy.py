@@ -5,7 +5,7 @@ import thermal_casimir as tc
 from thermal_casimir.constants import CONSTANTS, ev_to_angular_frequency
 from thermal_casimir.errors import DomainError
 
-from oracles import drude_zero_entropy_numeric
+from oracles import drude_zero_entropy_mp, drude_zero_entropy_numeric
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,23 @@ class TestZeroTemperatureEntropy:
         oracle = drude_zero_entropy_numeric(1e-6, au_omega_p)
         assert value == pytest.approx(oracle, rel=1e-8)
         assert value == pytest.approx(-3.03018281223268e-13, rel=1e-10)
+
+    @pytest.mark.parametrize("z, wp_ev", [(1e-6, 9.0), (0.1e-6, 1.0), (10e-6, 15.0)])
+    def test_matches_30_digit_oracle(self, z, wp_ev):
+        omega_p = ev_to_angular_frequency(wp_ev)
+        assert tc.drude_zero_T_entropy(z, omega_p) == pytest.approx(
+            drude_zero_entropy_mp(z, omega_p), rel=1e-10
+        )
+
+    def test_unreachable_tolerance_raises_with_best_estimate(self):
+        omega_p = ev_to_angular_frequency(1.0)
+        with pytest.raises(tc.ConvergenceError) as info:
+            tc.drude_zero_T_entropy(0.1e-6, omega_p, rel_tol=1e-20)
+        assert info.value.best_estimate < 0.0
+        assert info.value.best_estimate == pytest.approx(
+            drude_zero_entropy_mp(0.1e-6, omega_p), rel=1e-10
+        )
+        assert info.value.achieved_tolerance > 1e-20
 
     def test_strictly_negative_on_parameter_grid(self):
         for z in np.geomspace(0.1e-6, 10e-6, 5):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,28 @@ class TestFreeEnergy:
                 z, 300.0, plasma_au, zero_frequency_model=ideal_metal
             ).free_energy_per_area
             assert abs(f_drude) <= abs(f_plasma) <= abs(f_ideal)
+
+
+def test_concurrent_evaluation_is_bitwise_serial(ideal_metal, drude_au):
+    from thermal_casimir.presets import si_static_table
+    from thermal_casimir.quadrature import _panel_rule_cached
+
+    silicon = tc.TabulatedPermittivity(si_static_table())
+    jobs = [(z, model) for model in (ideal_metal, drude_au, silicon)
+            for z in (0.1e-6, 0.5e-6, 2e-6)]
+    # start cold so the worker threads fill the shared rule cache concurrently,
+    # with frequent thread switches to provoke interleaving
+    _panel_rule_cached.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda job: tc.free_energy(job[0], 300.0, job[1]),
+                                     jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [tc.free_energy(z, 300.0, model) for z, model in jobs]
+    assert threaded == serial
 
 
 class TestPressure:

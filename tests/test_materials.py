@@ -117,6 +117,16 @@ class TestOpticalTable:
         with pytest.raises(DomainError):
             tc.OpticalTable(np.array([1.0, 2.0]), np.array([-0.1, 0.1]))
 
+    @pytest.mark.parametrize("omega, im_eps", [
+        ([1.0, np.nan], [0.1, 0.1]),
+        ([1.0, np.inf], [0.1, 0.1]),
+        ([1.0, 2.0], [np.nan, 0.1]),
+        ([1.0, 2.0], [0.1, np.inf]),
+    ])
+    def test_non_finite_values_rejected(self, omega, im_eps):
+        with pytest.raises(DomainError, match="finite"):
+            tc.OpticalTable(np.array(omega), np.array(im_eps))
+
     def test_drude_round_trip(self, drude_synthetic_table, au_parameters, au_omega_p, au_gamma):
         xi = np.geomspace(0.1 * au_gamma, 10.0 * au_omega_p, 40)
         reconstructed = tc.eps_from_table(xi, drude_synthetic_table)

@@ -265,6 +265,10 @@ class TestExclusionBound:
             tc.ResidualBound(z=np.array([2e-6, 1e-6]), delta_tot=np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
             tc.ResidualBound(z=np.array([1e-6, 2e-6]), delta_tot=np.array([1.0, -1.0]))
+        with pytest.raises(DomainError, match="finite"):
+            tc.ResidualBound(z=np.array([1e-6, np.nan]), delta_tot=np.array([1.0, 1.0]))
+        with pytest.raises(DomainError, match="finite"):
+            tc.ResidualBound(z=np.array([1e-6, 2e-6]), delta_tot=np.array([1.0, np.inf]))
 
 
 class TestBodyValidation:

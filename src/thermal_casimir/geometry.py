@@ -38,13 +38,13 @@ class GeometryCase:
     def __post_init__(self):
         if self.kind not in ("plate-plate", "cylinder-plate", "sphere-plate"):
             raise DomainError(f"unknown geometry kind {self.kind!r}")
-        if self.z <= 0.0:
-            raise DomainError("separation must be positive")
+        if not 0.0 < self.z < np.inf:
+            raise DomainError("separation must be positive and finite")
         if self.kind == "plate-plate":
             if self.radius is not None:
                 raise DomainError("plate-plate geometry takes no radius")
-        elif self.radius is None or self.radius <= 0.0:
-            raise DomainError("curved geometry needs a positive radius")
+        elif self.radius is None or not 0.0 < self.radius < np.inf:
+            raise DomainError("curved geometry needs a positive, finite radius")
 
     @property
     def aspect(self):

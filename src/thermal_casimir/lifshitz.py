@@ -3,10 +3,16 @@
 The transverse-wavevector integral of every Matsubara term is rewritten in
 the dimensionless decay variable y = 2 q z, which turns each term into an
 integral with an exp(-y) envelope on [y_l, infinity), y_l = 2 xi_l z / c.
-Terms are evaluated on composite Gauss-Legendre panels at two refinement
-levels, whose difference provides the quadrature error estimate, and the
-Matsubara sum is truncated once the estimated remaining geometric tail is
-provably below the requested tolerance.
+
+Each term is integrated in one pass on two composite Gauss-Legendre rules
+at once: the integrand is evaluated on the nodes of a fine rule and of the
+coarse rule with half as many panels, stacked in one array, and the two
+weight vectors give a (fine, coarse) pair of integrals.  The fine sum is
+the result; its difference from the coarse sum is the quadrature error
+estimate.  The sum stops once a ratio test on the fine terms estimates the
+remaining tail below the tolerance; that tail estimate is added to the
+quadrature estimate.  If the total misses the tolerance, every panel is
+split once more and the sum is repeated, up to three levels.
 
 Free energy and pressure come from the same pass:
 
@@ -37,39 +43,26 @@ from .quadrature import L0_EDGES, panel_rule, split_edges
 # and use the plain set.
 _LK_EDGES = (0.0, 0.0625, 0.25, 1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0)
 _PANEL_ORDER = 8
-_COARSE_DIAGNOSTIC_EDGES = (0.0, 20.0, 40.0)
 _MAX_TERMS = 2_000_000
-_SCHEMES = ("adaptive", "fixed", "fixed-coarse")
+# Consecutive negligible terms required before the sum may stop.
+_TAIL_TERMS = 3
+# Integrand nodes per block of l >= 1 terms; bounds the work done past the stop.
+_BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
 class EvaluationConfig:
     """Numerical controls for the Matsubara evaluation.
 
-    Attributes
-    ----------
-    rel_tolerance : float
-        Target relative accuracy of the summed free energy, in (0, 1e-2].
-    tail_terms : int
-        Number of consecutive negligible terms required before the sum may
-        stop early.
-    quadrature : str
-        "adaptive" refines panels until the two-level difference meets the
-        tolerance; "fixed" evaluates a single refinement pair; "fixed-coarse"
-        is a deliberately crude diagnostic rule.
+    ``rel_tolerance`` is the target relative accuracy of the summed free
+    energy and pressure, in (0, 1e-2].
     """
 
     rel_tolerance: float = 1e-7
-    tail_terms: int = 3
-    quadrature: str = "adaptive"
 
     def __post_init__(self):
         if not (0.0 < self.rel_tolerance <= 1e-2):
             raise DomainError("rel_tolerance must lie in (0, 1e-2]")
-        if self.tail_terms < 1:
-            raise DomainError("tail_terms must be at least 1")
-        if self.quadrature not in _SCHEMES:
-            raise DomainError(f"unknown quadrature scheme {self.quadrature!r}")
 
 
 DEFAULT_CONFIG = EvaluationConfig()
@@ -96,27 +89,29 @@ class LifshitzResult:
     provenance: str = ""
 
 
+def _stacked_rule(edges, level):
+    """Fine (edges split ``level`` times) then coarse (``level - 1``) nodes."""
+    coarse = np.asarray(edges, dtype=float)
+    for _ in range(level - 1):
+        coarse = split_edges(coarse)
+    fine_nodes, fine_weights = panel_rule(split_edges(coarse), _PANEL_ORDER)
+    coarse_nodes, coarse_weights = panel_rule(coarse, _PANEL_ORDER)
+    return np.concatenate((fine_nodes, coarse_nodes)), (fine_weights, coarse_weights)
+
+
 class _Rule:
-    """Node/weight sets of one refinement level for l = 0 and l >= 1 terms."""
+    """Stacked fine/coarse nodes of one refinement level for l = 0 and l >= 1."""
 
-    def __init__(self, l0_edges, lk_edges, order):
-        self.l0_nodes, self.l0_weights = panel_rule(l0_edges, order)
-        self.lk_nodes, self.lk_weights = panel_rule(lk_edges, order)
+    def __init__(self, level):
+        self.l0_nodes, self.l0_weights = _stacked_rule(L0_EDGES, level)
+        self.lk_nodes, self.lk_weights = _stacked_rule(_LK_EDGES, level)
 
 
-def _rule_for_level(level, scheme):
-    if scheme == "fixed-coarse":
-        edges = np.asarray(_COARSE_DIAGNOSTIC_EDGES)
-        for _ in range(level):
-            edges = split_edges(edges)
-        edges = tuple(edges)
-        return _Rule(edges, edges, 2)
-    l0 = np.asarray(L0_EDGES)
-    lk = np.asarray(_LK_EDGES)
-    for _ in range(level):
-        l0 = split_edges(l0)
-        lk = split_edges(lk)
-    return _Rule(tuple(l0), tuple(lk), _PANEL_ORDER)
+def _fine_coarse(values, weights):
+    """(fine, coarse) integrals of integrand values on stacked nodes (last axis)."""
+    fine_weights, coarse_weights = weights
+    split = fine_weights.size
+    return np.stack((values[..., :split] @ fine_weights, values[..., split:] @ coarse_weights))
 
 
 def _accumulate(pair, y, decay, want_pressure):
@@ -138,17 +133,17 @@ def _accumulate(pair, y, decay, want_pressure):
 
 
 def _zero_term(z, l0_model, rule, want_pressure):
-    """Weighted l = 0 term (carries the 1/2 Matsubara weight)."""
+    """Weighted (fine, coarse) l = 0 term (carries the 1/2 Matsubara weight)."""
     y = rule.l0_nodes
     pair = l0_model.zero_frequency_reflection(y / (2.0 * z))
     f_val, p_val = _accumulate(pair, y, np.exp(-y), want_pressure)
-    term_f = 0.5 * ((y * f_val) @ rule.l0_weights)
-    term_p = 0.5 * ((y * y * p_val) @ rule.l0_weights) if want_pressure else 0.0
+    term_f = 0.5 * _fine_coarse(y * f_val, rule.l0_weights)
+    term_p = 0.5 * _fine_coarse(y * y * p_val, rule.l0_weights) if want_pressure else np.zeros(2)
     return term_f, term_p
 
 
 def _positive_terms(z, temperature, model, indices, y_step, rule, want_pressure):
-    """Term integrals for a block of l >= 1 Matsubara indices."""
+    """(fine, coarse) rows of term integrals for a block of l >= 1 indices."""
     idx = np.asarray(indices, dtype=float)
     xi = (2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar) * idx[:, None]
     y = y_step * idx[:, None] + rule.lk_nodes[None, :]
@@ -156,17 +151,20 @@ def _positive_terms(z, temperature, model, indices, y_step, rule, want_pressure)
     k_perp = np.sqrt(np.maximum((y / (2.0 * z)) ** 2 - (xi / CONSTANTS.c) ** 2, 0.0))
     pair = model.reflection(xi, k_perp, temperature)
     f_val, p_val = _accumulate(pair, y, decay, want_pressure)
-    term_f = (y * f_val) @ rule.lk_weights
-    term_p = (y * y * p_val) @ rule.lk_weights if want_pressure else np.zeros_like(term_f)
+    term_f = _fine_coarse(y * f_val, rule.lk_weights)
+    term_p = np.zeros_like(term_f)
+    if want_pressure:
+        term_p = _fine_coarse(y * y * p_val, rule.lk_weights)
     return term_f, term_p
 
 
-def _stop_index(terms, tolerance, tail_terms):
-    """First index where the truncated sum is provably within tolerance.
+def _stop_index(terms, tolerance):
+    """First index where the ratio test lets the sum stop, or None.
 
-    Requires ``tail_terms`` consecutive terms each below tolerance times the
-    running sum, plus a geometric bound on the remaining tail.  Returns the
-    inclusive stop index or None.
+    Requires ``_TAIL_TERMS`` consecutive terms each below tolerance times the
+    running sum, and a geometric extrapolation of the remaining tail from the
+    last two terms below half of it.  The tail is estimated, not bounded.
+    The result at index l depends only on terms up to l.
     """
     magnitude = np.abs(terms)
     partial = np.abs(np.cumsum(terms))
@@ -176,57 +174,44 @@ def _stop_index(terms, tolerance, tail_terms):
     tail_ok = magnitude[1:] * ratio / (1.0 - ratio) <= 0.5 * tolerance * partial[1:]
 
     run = small.copy()
-    for shift in range(1, tail_terms):
+    for shift in range(1, _TAIL_TERMS):
         run[shift:] &= small[:-shift]
-    run[:tail_terms] = False
+    run[:_TAIL_TERMS] = False
     candidates = np.nonzero(run[1:] & tail_ok)[0]
     if candidates.size == 0:
         return None
     return int(candidates[0]) + 1
 
 
-def _sum_terms(z, temperature, model, l0_model, config, rule, term_limit, want_pressure):
-    """Accumulate weighted term integrals until the stop rule fires."""
+def _sum_terms(z, temperature, model, l0_model, tolerance, rule, want_pressure):
+    """(fine, coarse) rows of weighted terms, up to where the fine sum may stop.
+
+    The pressure rows are zero unless ``want_pressure``.
+    """
     y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
+    term_limit = _term_limit(y_step, tolerance)
     f0, p0 = _zero_term(z, l0_model, rule, want_pressure)
-    chunks_f, chunks_p = [np.array([f0])], [np.array([p0])]
-    start, block = 1, 255
-    while start < term_limit:
-        stop = min(term_limit, start + block)
+    chunks_f, chunks_p = [f0[:, None]], [p0[:, None]]
+    block = max(1, _BLOCK_NODES // rule.lk_nodes.size)
+    for start in range(1, term_limit, block):
         tf, tp = _positive_terms(
-            z, temperature, model, np.arange(start, stop), y_step, rule, want_pressure
+            z, temperature, model, np.arange(start, min(term_limit, start + block)),
+            y_step, rule, want_pressure,
         )
         chunks_f.append(tf)
         chunks_p.append(tp)
-        terms_f = np.concatenate(chunks_f)
-        cut_f = _stop_index(terms_f, config.rel_tolerance, config.tail_terms)
-        if cut_f is not None:
-            if not want_pressure:
-                return terms_f[: cut_f + 1], None
-            terms_p = np.concatenate(chunks_p)
-            cut_p = _stop_index(terms_p, config.rel_tolerance, config.tail_terms)
-            if cut_p is not None:
-                cut = max(cut_f, cut_p)
-                return terms_f[: cut + 1], terms_p[: cut + 1]
-        start = stop
-        block = min(4 * block, 8192)
-    terms_f = np.concatenate(chunks_f)
-    return terms_f, (np.concatenate(chunks_p) if want_pressure else None)
-
-
-def _resum(z, temperature, model, l0_model, n_terms, rule, want_pressure):
-    """Re-evaluate the first ``n_terms`` weighted terms on another rule."""
-    y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
-    f0, p0 = _zero_term(z, l0_model, rule, want_pressure)
-    total_f, total_p = f0, p0
-    for start in range(1, n_terms, 8192):
-        stop = min(n_terms, start + 8192)
-        tf, tp = _positive_terms(
-            z, temperature, model, np.arange(start, stop), y_step, rule, want_pressure
-        )
-        total_f += tf.sum()
-        total_p += tp.sum()
-    return total_f, total_p
+        terms_f = np.concatenate(chunks_f, axis=1)
+        cut = _stop_index(terms_f[0], tolerance)
+        if cut is None:
+            continue
+        terms_p = np.concatenate(chunks_p, axis=1)
+        if want_pressure:
+            cut_p = _stop_index(terms_p[0], tolerance)
+            if cut_p is None:
+                continue
+            cut = max(cut, cut_p)
+        return terms_f[:, : cut + 1], terms_p[:, : cut + 1]
+    return np.concatenate(chunks_f, axis=1), np.concatenate(chunks_p, axis=1)
 
 
 def _tail_fraction(terms):
@@ -254,41 +239,27 @@ def _term_limit(y_step, tolerance):
 
 
 def _evaluate(z, temperature, model, config, l0_model, want_pressure):
+    if not 0.0 < z < math.inf:
+        raise DomainError("separation must be positive and finite")
+    if not 0.0 < temperature < math.inf:
+        raise DomainError("temperature must be positive and finite")
     tol = config.rel_tolerance
-    y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
-    term_limit = _term_limit(y_step, tol)
-
-    if config.quadrature == "adaptive":
-        fine_levels = (1, 2, 3)
-    else:
-        fine_levels = (1,)
-
-    best = None
-    for fine_level in fine_levels:
-        fine = _rule_for_level(fine_level, config.quadrature)
-        coarse = _rule_for_level(fine_level - 1, config.quadrature)
+    for level in (1, 2, 3):
         terms_f, terms_p = _sum_terms(
-            z, temperature, model, l0_model, config, fine, term_limit, want_pressure
+            z, temperature, model, l0_model, tol, _Rule(level), want_pressure
         )
-        n_terms = terms_f.size
-        coarse_f, coarse_p = _resum(
-            z, temperature, model, l0_model, n_terms, coarse, want_pressure
-        )
-
-        sum_f = terms_f.sum()
+        sum_f, coarse_f = terms_f.sum(axis=1)
+        sum_p, coarse_p = terms_p.sum(axis=1)
         quad_rel = abs(sum_f - coarse_f) / max(abs(sum_f), 1e-300)
-        tail_rel = _tail_fraction(terms_f)
-        sum_p = 0.0
+        tail_rel = _tail_fraction(terms_f[0])
         if want_pressure:
-            sum_p = terms_p.sum()
             quad_rel = max(quad_rel, abs(sum_p - coarse_p) / max(abs(sum_p), 1e-300))
-            tail_rel = max(tail_rel, _tail_fraction(terms_p))
+            tail_rel = max(tail_rel, _tail_fraction(terms_p[0]))
         estimate = quad_rel + tail_rel
-        share = terms_f[0] / sum_f if sum_f != 0.0 else 0.0
-        best = (sum_f, sum_p, n_terms, estimate, share)
+        share = terms_f[0, 0] / sum_f if sum_f != 0.0 else 0.0
         if estimate <= tol:
-            return best + (True,)
-    return best + (False,)
+            break
+    return sum_f, sum_p, terms_f.shape[1], estimate, share, estimate <= tol
 
 
 def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):
@@ -316,12 +287,9 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
     ConvergenceError
         If the panel refinement cannot reach the requested tolerance.  The
         exception carries the best estimate and the tolerance achieved.
+    DomainError
+        If the separation or the temperature is not positive and finite.
     """
-    if z <= 0.0:
-        raise DomainError("separation must be positive")
-    if temperature <= 0.0:
-        raise DomainError("temperature must be positive")
-
     l0_model = model if zero_frequency_model is None else zero_frequency_model
     provenance = ""
     if zero_frequency_model is not None and zero_frequency_model is not model:
@@ -354,8 +322,6 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
 
 def _free_energy_value(z, temperature, model, config=DEFAULT_CONFIG):
     """Free energy per unit area only; skips the pressure integrand."""
-    if z <= 0.0 or temperature <= 0.0:
-        raise DomainError("separation and temperature must be positive")
     sum_f, _, _, estimate, _, converged = _evaluate(
         z, temperature, model, config, model, want_pressure=False
     )

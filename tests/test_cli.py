@@ -120,6 +120,19 @@ class TestPressureCommand:
         assert len(document["rows"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--temperature", "nan"),
+    ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--temperature", "inf"),
+    ("entropy", "--z-um", "nan", "--model", "plasma"),
+    ("pft", "--kind", "cylinder", "--z-um", "nan", "--R-um", "100"),
+])
+def test_non_finite_separation_or_temperature_exits_two(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
 class TestFreeEnergyCommand:
     def test_columns_do_not_include_pressure(self, tmp_path):
         code, out = run(tmp_path, "free-energy", "--z-min-um", "1", "--z-max-um", "2",

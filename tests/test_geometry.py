@@ -139,3 +139,8 @@ class TestGeometryCase:
             tc.GeometryCase("moebius-plate", 1e-6, 1e-4)
         with pytest.raises(DomainError):
             tc.GeometryCase("cylinder-plate", -1e-6, 1e-4)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                tc.GeometryCase("cylinder-plate", bad, 1e-4)
+            with pytest.raises(DomainError):
+                tc.GeometryCase("sphere-plate", 1e-6, bad)

@@ -57,10 +57,13 @@ class TestFreeEnergy:
             assert 0.0 < result.zero_frequency_share <= 1.0
 
     def test_preconditions(self, ideal_metal):
-        with pytest.raises(DomainError):
-            tc.free_energy(0.0, 300.0, ideal_metal)
-        with pytest.raises(DomainError):
-            tc.free_energy(1e-6, -5.0, ideal_metal)
+        nan, inf = float("nan"), float("inf")
+        for z, temperature in ((0.0, 300.0), (1e-6, -5.0), (nan, 300.0), (inf, 300.0),
+                               (1e-6, nan), (1e-6, inf)):
+            with pytest.raises(DomainError):
+                tc.free_energy(z, temperature, ideal_metal)
+            with pytest.raises(DomainError):
+                engine._free_energy_value(z, temperature, ideal_metal)
 
     def test_result_serializes_to_a_flat_record(self, drude_au):
         import dataclasses
@@ -161,23 +164,57 @@ class TestPressure:
 
 class TestTruncationAndErrors:
     def test_doubling_the_cutoff_changes_less_than_the_estimate(self, drude_au):
-        result = tc.free_energy(1e-6, 30.0, drude_au)
-        rule = engine._rule_for_level(1, "adaptive")
-        doubled_f, _ = engine._resum(
-            1e-6, 30.0, drude_au, drude_au, 2 * result.terms_used, rule, False
+        z, temperature = 1e-6, 30.0
+        result = tc.free_energy(z, temperature, drude_au)
+        rule = engine._Rule(1)
+        y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
+        f0, _ = engine._zero_term(z, drude_au, rule, False)
+        rest, _ = engine._positive_terms(
+            z, temperature, drude_au, np.arange(1, 2 * result.terms_used), y_step, rule, False
         )
-        prefactor = CONSTANTS.k_B * 30.0 / (8.0 * np.pi * (1e-6) ** 2)
+        doubled_f = f0[0] + rest[0].sum()
+        prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
         change = abs(prefactor * doubled_f - result.free_energy_per_area)
         assert change <= result.quadrature_error_estimate * abs(result.free_energy_per_area)
 
-    def test_coarse_diagnostic_rule_reports_failure(self, ideal_metal):
-        config = tc.EvaluationConfig(rel_tolerance=1e-7, quadrature="fixed-coarse")
+    def test_coarse_diagnostic_rule_reports_failure(self, ideal_metal, monkeypatch):
+        # two order-2 panels cannot resolve the l = 0 term at any refinement level
+        monkeypatch.setattr(engine, "L0_EDGES", (0.0, 20.0, 40.0))
+        monkeypatch.setattr(engine, "_LK_EDGES", (0.0, 20.0, 40.0))
+        monkeypatch.setattr(engine, "_PANEL_ORDER", 2)
+        config = tc.EvaluationConfig(rel_tolerance=1e-7)
         with pytest.raises(ConvergenceError) as excinfo:
             tc.free_energy(5e-6, 300.0, ideal_metal, config)
         error = excinfo.value
         assert error.best_estimate is not None
         assert error.achieved_tolerance > 1e-7
         assert error.best_estimate.free_energy_per_area < 0.0
+
+    @pytest.mark.parametrize("z, temperature", [(1e-6, 30.0), (0.1e-6, 300.0)])
+    def test_block_size_does_not_change_the_result(self, drude_au, monkeypatch, z,
+                                                    temperature):
+        config = tc.EvaluationConfig(rel_tolerance=1e-9)
+        reference = tc.free_energy(z, temperature, drude_au, config)
+        for block_nodes in (1, 64 << 14):
+            monkeypatch.setattr(engine, "_BLOCK_NODES", block_nodes)
+            result = tc.free_energy(z, temperature, drude_au, config)
+            assert result.terms_used == reference.terms_used
+            assert result.free_energy_per_area == pytest.approx(
+                reference.free_energy_per_area, rel=1e-13, abs=0.0)
+            assert result.pressure == pytest.approx(reference.pressure, rel=1e-13, abs=0.0)
+
+    def test_long_sum_memory_stays_bounded(self, drude_au):
+        # at 1 K and 1 um the sum runs to thousands of terms; term blocks of
+        # fixed node count keep the working set independent of that length
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            tc.free_energy(1e-6, 1.0, drude_au, tc.EvaluationConfig(rel_tolerance=1e-9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_impedance_and_plasma_prescriptions_agree_at_micron_scale(self, plasma_au,
                                                                       au_omega_p):
@@ -193,10 +230,6 @@ class TestEvaluationConfig:
     def test_tolerance_bounds(self, tol):
         with pytest.raises(DomainError):
             tc.EvaluationConfig(rel_tolerance=tol)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(DomainError):
-            tc.EvaluationConfig(quadrature="monte-carlo")
 
 
 class TestClassicalLimit:

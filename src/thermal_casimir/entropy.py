@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import CONSTANTS, ZETA3
 from .errors import ConvergenceError, DomainError
-from .lifshitz import _PANEL_ORDER, EvaluationConfig, _free_energy_value
+from .lifshitz import EvaluationConfig, _free_energy_value
 from .materials import Drude, PowerLawGamma
 from .quadrature import L0_EDGES, panel_rule, split_edges
 
@@ -29,7 +29,9 @@ _ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 VIOLATION_THRESHOLD = 5.0
 CLEARANCE_THRESHOLD = 1.0
 
-#: Panel refinements of the zero-temperature entropy integral before giving up.
+#: Gauss-Legendre order per panel, and panel refinements before giving up, of
+#: the zero-temperature entropy integral.
+_PANEL_ORDER = 8
 _MAX_LEVELS = 6
 
 #: Cold-end fit variants: (polynomial degree, number of coldest grid points).
@@ -105,8 +107,8 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
     rel_tol : float
         Relative tolerance of the panel refinement, against max(|I|, zeta(3)).
     """
-    if z <= 0.0 or omega_p <= 0.0:
-        raise DomainError("separation and plasma frequency must be positive")
+    if not (0.0 < z < np.inf and 0.0 < omega_p < np.inf):
+        raise DomainError("separation and plasma frequency must be positive and finite")
     y_hat = 2.0 * z * omega_p / CONSTANTS.c
     prefactor = CONSTANTS.k_B / (16.0 * np.pi * z**2)
 
@@ -133,8 +135,8 @@ def entropy_large_z_limit(z):
 
     -k_B zeta(3) / (16 pi z^2); negative at every separation.
     """
-    if z <= 0.0:
-        raise DomainError("separation must be positive")
+    if not 0.0 < z < np.inf:
+        raise DomainError("separation must be positive and finite")
     return -CONSTANTS.k_B * ZETA3 / (16.0 * np.pi * z**2)
 
 

@@ -72,15 +72,15 @@ def ideal_plate_pressure(z):
 
     P(z) = -pi^2 hbar c / (240 z^4).
     """
-    if z <= 0.0:
-        raise DomainError("separation must be positive")
+    if not 0.0 < z < np.inf:
+        raise DomainError("separation must be positive and finite")
     return -(np.pi**2) * CONSTANTS.hbar * CONSTANTS.c / (240.0 * z**4)
 
 
 def ideal_plate_energy(z):
     """Zero-temperature energy per unit area between ideal-metal plates, J/m^2."""
-    if z <= 0.0:
-        raise DomainError("separation must be positive")
+    if not 0.0 < z < np.inf:
+        raise DomainError("separation must be positive and finite")
     return -(np.pi**2) * CONSTANTS.hbar * CONSTANTS.c / (720.0 * z**3)
 
 

@@ -4,15 +4,15 @@ The transverse-wavevector integral of every Matsubara term is rewritten in
 the dimensionless decay variable y = 2 q z, which turns each term into an
 integral with an exp(-y) envelope on [y_l, infinity), y_l = 2 xi_l z / c.
 
-Each term is integrated in one pass on two composite Gauss-Legendre rules
-at once: the integrand is evaluated on the nodes of a fine rule and of the
-coarse rule with half as many panels, stacked in one array, and the two
-weight vectors give a (fine, coarse) pair of integrals.  The fine sum is
-the result; its difference from the coarse sum is the quadrature error
-estimate.  The sum stops once a ratio test on the fine terms estimates the
-remaining tail below the tolerance; that tail estimate is added to the
-quadrature estimate.  If the total misses the tolerance, every panel is
-split once more and the sum is repeated, up to three levels.
+Each term is integrated with the embedded Gauss-Kronrod pair (7-point
+Gauss inside 15-point Kronrod) on every panel: one evaluation of the
+integrand on the Kronrod nodes gives both sums.  The Kronrod sum is the
+result; its difference from the Gauss sum is the quadrature error estimate.
+The sum stops once a ratio test on the Kronrod terms estimates the remaining
+tail below the tolerance; the test runs once on each block of terms, carrying
+the running sum from block to block.  That tail estimate is added to the
+quadrature estimate.  If the total misses the tolerance, every panel is split
+once more and the sum is repeated, up to three levels.
 
 Free energy and pressure come from the same pass:
 
@@ -31,23 +31,24 @@ for a fixed configuration.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .constants import CONSTANTS, ZETA3
 from .errors import ConvergenceError, DomainError
-from .quadrature import L0_EDGES, panel_rule, split_edges
+from .quadrature import L0_EDGES, kronrod_rule, split_edges
 
 # The l = 0 term uses the graded L0_EDGES; terms with l >= 1 are analytic in y
 # and use the plain set.
 _LK_EDGES = (0.0, 0.0625, 0.25, 1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0)
-_PANEL_ORDER = 8
 _MAX_TERMS = 2_000_000
 # Consecutive negligible terms required before the sum may stop.
 _TAIL_TERMS = 3
 # Integrand nodes per block of l >= 1 terms; bounds the work done past the stop.
-_BLOCK_NODES = 1 << 14
+_BLOCK_NODES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -89,61 +90,59 @@ class LifshitzResult:
     provenance: str = ""
 
 
-def _stacked_rule(edges, level):
-    """Fine (edges split ``level`` times) then coarse (``level - 1``) nodes."""
-    coarse = np.asarray(edges, dtype=float)
-    for _ in range(level - 1):
-        coarse = split_edges(coarse)
-    fine_nodes, fine_weights = panel_rule(split_edges(coarse), _PANEL_ORDER)
-    coarse_nodes, coarse_weights = panel_rule(coarse, _PANEL_ORDER)
-    return np.concatenate((fine_nodes, coarse_nodes)), (fine_weights, coarse_weights)
+# Kronrod nodes of one refinement level for l = 0 and l >= 1; each weight matrix
+# holds the Kronrod weights in row 0 and the embedded Gauss weights in row 1, so
+# ``weights @ values`` gives the (result, estimate) pair of integrals.
+_Rule = namedtuple("_Rule", "l0_nodes l0_weights lk_nodes lk_weights")
 
 
-class _Rule:
-    """Stacked fine/coarse nodes of one refinement level for l = 0 and l >= 1."""
-
-    def __init__(self, level):
-        self.l0_nodes, self.l0_weights = _stacked_rule(L0_EDGES, level)
-        self.lk_nodes, self.lk_weights = _stacked_rule(_LK_EDGES, level)
-
-
-def _fine_coarse(values, weights):
-    """(fine, coarse) integrals of integrand values on stacked nodes (last axis)."""
-    fine_weights, coarse_weights = weights
-    split = fine_weights.size
-    return np.stack((values[..., :split] @ fine_weights, values[..., split:] @ coarse_weights))
+@lru_cache(maxsize=None)
+def _rule(level, l0_edges, lk_edges):
+    """Cached rule on the given edge sets, every panel split ``level - 1`` times."""
+    parts = []
+    for edges in (l0_edges, lk_edges):
+        for _ in range(level - 1):
+            edges = split_edges(edges)
+        nodes, kronrod, gauss = kronrod_rule(edges)
+        parts += [nodes, np.stack((kronrod, gauss))]
+    return _Rule(*parts)
 
 
 def _accumulate(pair, y, decay, want_pressure):
     """Sum of both polarization integrands at the given nodes.
 
     Returns the free-energy integrand values and (optionally) the pressure
-    integrand values, without the y / y^2 measure factors.
+    integrand values, without the y / y^2 measure factors.  A polarization
+    with r^2 e^-y < 0.5 at every node skips the log branch kept for r^2 -> 1.
     """
-    f_val = np.zeros_like(y)
-    p_val = np.zeros_like(y) if want_pressure else None
+    f_val, p_val, one_minus_decay = 0.0, 0.0, None
     for r in pair:
         r2 = np.asarray(r, dtype=float) ** 2
         x = r2 * decay
-        denom = -np.expm1(-y) + (1.0 - r2) * decay
-        f_val += np.where(x < 0.5, np.log1p(-x), np.log(denom))
+        one_branch = x.max() < 0.5
+        if want_pressure or not one_branch:
+            if one_minus_decay is None:
+                one_minus_decay = -np.expm1(-y)
+            denom = one_minus_decay + (1.0 - r2) * decay
+        f_val = f_val + (np.log1p(-x) if one_branch
+                         else np.where(x < 0.5, np.log1p(-x), np.log(denom)))
         if want_pressure:
-            p_val += x / denom
-    return f_val, p_val
+            p_val = p_val + x / denom
+    return f_val, p_val if want_pressure else None
 
 
 def _zero_term(z, l0_model, rule, want_pressure):
-    """Weighted (fine, coarse) l = 0 term (carries the 1/2 Matsubara weight)."""
+    """Weighted (Kronrod, Gauss) l = 0 term (carries the 1/2 Matsubara weight)."""
     y = rule.l0_nodes
     pair = l0_model.zero_frequency_reflection(y / (2.0 * z))
     f_val, p_val = _accumulate(pair, y, np.exp(-y), want_pressure)
-    term_f = 0.5 * _fine_coarse(y * f_val, rule.l0_weights)
-    term_p = 0.5 * _fine_coarse(y * y * p_val, rule.l0_weights) if want_pressure else np.zeros(2)
+    term_f = 0.5 * (rule.l0_weights @ (y * f_val))
+    term_p = 0.5 * (rule.l0_weights @ (y * y * p_val)) if want_pressure else np.zeros(2)
     return term_f, term_p
 
 
 def _positive_terms(z, temperature, model, indices, y_step, rule, want_pressure):
-    """(fine, coarse) rows of term integrals for a block of l >= 1 indices."""
+    """(Kronrod, Gauss) rows of term integrals for a block of l >= 1 indices."""
     idx = np.asarray(indices, dtype=float)
     xi = (2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar) * idx[:, None]
     y = y_step * idx[:, None] + rule.lk_nodes[None, :]
@@ -151,67 +150,67 @@ def _positive_terms(z, temperature, model, indices, y_step, rule, want_pressure)
     k_perp = np.sqrt(np.maximum((y / (2.0 * z)) ** 2 - (xi / CONSTANTS.c) ** 2, 0.0))
     pair = model.reflection(xi, k_perp, temperature)
     f_val, p_val = _accumulate(pair, y, decay, want_pressure)
-    term_f = _fine_coarse(y * f_val, rule.lk_weights)
-    term_p = np.zeros_like(term_f)
-    if want_pressure:
-        term_p = _fine_coarse(y * y * p_val, rule.lk_weights)
+    term_f = rule.lk_weights @ (y * f_val).T
+    term_p = rule.lk_weights @ (y * y * p_val).T if want_pressure else np.zeros_like(term_f)
     return term_f, term_p
 
 
-def _stop_index(terms, tolerance):
-    """First index where the ratio test lets the sum stop, or None.
+class _StopRule:
+    """Ratio test on a row of terms that arrives block by block.
 
-    Requires ``_TAIL_TERMS`` consecutive terms each below tolerance times the
-    running sum, and a geometric extrapolation of the remaining tail from the
-    last two terms below half of it.  The tail is estimated, not bounded.
-    The result at index l depends only on terms up to l.
+    The sum may stop at index l >= ``_TAIL_TERMS`` once ``_TAIL_TERMS``
+    consecutive terms are each below tolerance times the running sum and a
+    geometric extrapolation of the remaining tail from the last two terms is
+    below half of it.  The tail is estimated, not bounded.  The test at l
+    depends only on terms up to l, so each term is tested once: between
+    blocks the rule carries the running sum and the last ``_TAIL_TERMS``
+    magnitudes and flags.
     """
-    magnitude = np.abs(terms)
-    partial = np.abs(np.cumsum(terms))
-    small = magnitude <= tolerance * partial
-    ratio = magnitude[1:] / np.maximum(magnitude[:-1], 1e-300)
-    ratio = np.clip(ratio, 0.0, 1.0 - 1e-9)
-    tail_ok = magnitude[1:] * ratio / (1.0 - ratio) <= 0.5 * tolerance * partial[1:]
 
-    run = small.copy()
-    for shift in range(1, _TAIL_TERMS):
-        run[shift:] &= small[:-shift]
-    run[:_TAIL_TERMS] = False
-    candidates = np.nonzero(run[1:] & tail_ok)[0]
-    if candidates.size == 0:
-        return None
-    return int(candidates[0]) + 1
+    def __init__(self, tolerance):
+        self.tolerance, self.seen, self.total = tolerance, 0, 0.0
+        # placeholders ahead of index 0, which can never stop
+        self.magnitude, self.small = np.ones(_TAIL_TERMS), np.zeros(_TAIL_TERMS, dtype=bool)
+
+    def stop_index(self, terms):
+        """Index in the whole row where the sum may stop, or None."""
+        running = np.add.accumulate(np.concatenate(([self.total], terms)))
+        partial = np.abs(running[1:])
+        fresh = np.abs(terms)
+        magnitude = np.concatenate((self.magnitude, fresh))
+        small = np.concatenate((self.small, fresh <= self.tolerance * partial))
+        ratio = np.clip(fresh / np.maximum(magnitude[_TAIL_TERMS - 1 : -1], 1e-300), 0, 1 - 1e-9)
+        run = fresh * ratio / (1.0 - ratio) <= 0.5 * self.tolerance * partial
+        for shift in range(_TAIL_TERMS):
+            run &= small[_TAIL_TERMS - shift : small.size - shift]
+        run[: max(0, _TAIL_TERMS - self.seen)] = False
+        first, self.seen, self.total = self.seen, self.seen + fresh.size, running[-1]
+        self.magnitude, self.small = magnitude[-_TAIL_TERMS:], small[-_TAIL_TERMS:]
+        candidates = np.flatnonzero(run)
+        return first + int(candidates[0]) if candidates.size else None
 
 
 def _sum_terms(z, temperature, model, l0_model, tolerance, rule, want_pressure):
-    """(fine, coarse) rows of weighted terms, up to where the fine sum may stop.
+    """(Kronrod, Gauss) rows of weighted terms, up to where the Kronrod sum may stop.
 
     The pressure rows are zero unless ``want_pressure``.
     """
     y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
     term_limit = _term_limit(y_step, tolerance)
     f0, p0 = _zero_term(z, l0_model, rule, want_pressure)
-    chunks_f, chunks_p = [f0[:, None]], [p0[:, None]]
+    chunks = [(f0[:, None], p0[:, None])]
+    tests = [_StopRule(tolerance) for _ in range(1 + want_pressure)]
+    cuts = [test.stop_index(row[0]) for test, row in zip(tests, chunks[0])]
     block = max(1, _BLOCK_NODES // rule.lk_nodes.size)
     for start in range(1, term_limit, block):
-        tf, tp = _positive_terms(
-            z, temperature, model, np.arange(start, min(term_limit, start + block)),
-            y_step, rule, want_pressure,
-        )
-        chunks_f.append(tf)
-        chunks_p.append(tp)
-        terms_f = np.concatenate(chunks_f, axis=1)
-        cut = _stop_index(terms_f[0], tolerance)
-        if cut is None:
-            continue
-        terms_p = np.concatenate(chunks_p, axis=1)
-        if want_pressure:
-            cut_p = _stop_index(terms_p[0], tolerance)
-            if cut_p is None:
-                continue
-            cut = max(cut, cut_p)
-        return terms_f[:, : cut + 1], terms_p[:, : cut + 1]
-    return np.concatenate(chunks_f, axis=1), np.concatenate(chunks_p, axis=1)
+        indices = np.arange(start, min(term_limit, start + block))
+        chunks.append(_positive_terms(z, temperature, model, indices, y_step, rule, want_pressure))
+        cuts = [test.stop_index(row[0]) if cut is None else cut
+                for cut, test, row in zip(cuts, tests, chunks[-1])]
+        if None not in cuts:
+            break
+    stop = None if None in cuts else max(cuts) + 1
+    return tuple(np.concatenate(rows, axis=1)[:, :stop] for rows in zip(*chunks))
 
 
 def _tail_fraction(terms):
@@ -245,15 +244,14 @@ def _evaluate(z, temperature, model, config, l0_model, want_pressure):
         raise DomainError("temperature must be positive and finite")
     tol = config.rel_tolerance
     for level in (1, 2, 3):
-        terms_f, terms_p = _sum_terms(
-            z, temperature, model, l0_model, tol, _Rule(level), want_pressure
-        )
-        sum_f, coarse_f = terms_f.sum(axis=1)
-        sum_p, coarse_p = terms_p.sum(axis=1)
-        quad_rel = abs(sum_f - coarse_f) / max(abs(sum_f), 1e-300)
+        rule = _rule(level, L0_EDGES, _LK_EDGES)
+        terms_f, terms_p = _sum_terms(z, temperature, model, l0_model, tol, rule, want_pressure)
+        sum_f, gauss_f = terms_f.sum(axis=1)
+        sum_p, gauss_p = terms_p.sum(axis=1)
+        quad_rel = abs(sum_f - gauss_f) / max(abs(sum_f), 1e-300)
         tail_rel = _tail_fraction(terms_f[0])
         if want_pressure:
-            quad_rel = max(quad_rel, abs(sum_p - coarse_p) / max(abs(sum_p), 1e-300))
+            quad_rel = max(quad_rel, abs(sum_p - gauss_p) / max(abs(sum_p), 1e-300))
             tail_rel = max(tail_rel, _tail_fraction(terms_p[0]))
         estimate = quad_rel + tail_rel
         share = terms_f[0, 0] / sum_f if sum_f != 0.0 else 0.0
@@ -348,8 +346,8 @@ def classical_limit(z, temperature, prescription="ideal"):
     ``"ideal"`` gives -k_B T zeta(3) / (8 pi z^2); ``"drude-like"`` carries
     only the TM zero-frequency term and is exactly half of that.
     """
-    if z <= 0.0 or temperature <= 0.0:
-        raise DomainError("separation and temperature must be positive")
+    if not (0.0 < z < math.inf and 0.0 < temperature < math.inf):
+        raise DomainError("separation and temperature must be positive and finite")
     value = -CONSTANTS.k_B * temperature * ZETA3 / (8.0 * np.pi * z**2)
     if prescription == "ideal":
         return value

@@ -50,9 +50,11 @@ def fresnel_reflection(xi, k_perp, eps, constants=CONSTANTS):
     if np.any(eps < 1.0):
         raise DomainError("fresnel_reflection requires eps >= 1")
     w2 = (xi / constants.c) ** 2
-    q = np.sqrt(k_perp**2 + w2)
-    k = np.sqrt(k_perp**2 + eps * w2)
-    r_tm = (eps * q - k) / (eps * q + k)
+    k2 = k_perp**2
+    q = np.sqrt(k2 + w2)
+    k = np.sqrt(k2 + eps * w2)
+    eps_q = eps * q
+    r_tm = (eps_q - k) / (eps_q + k)
     r_te = (k - q) / (k + q)
     return ReflectionPair(r_tm, r_te)
 

@@ -4,8 +4,13 @@ Every oracle here deliberately follows a different route than the library:
 pairwise-sum quantities are reduced to low-dimensional integrals evaluated
 with scipy quadrature and differentiated by central differences, and special
 function integrals use composite fixed-order Gauss-Legendre panels or 30-digit
-mpmath tanh-sinh quadrature instead of the library's panel refinement.
+mpmath tanh-sinh quadrature instead of the library's panel refinement.  The
+Matsubara oracle integrates every term adaptively in the in-plane wavevector,
+not on the library's fixed panels in the decay variable.
 """
+
+import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -140,3 +145,54 @@ def finite_difference_pressure(z, temperature, model, config):
     upper = free_energy(z + h, temperature, model, config).free_energy_per_area
     lower = free_energy(z - h, temperature, model, config).free_energy_per_area
     return -(upper - lower) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# term-by-term Matsubara oracle
+# ---------------------------------------------------------------------------
+
+
+def lifshitz_sum_quad(z, temperature, eps_of_xi, zero_frequency_pair, rel_tol):
+    """Free energy per area and pressure, each Matsubara term by scipy ``quad``.
+
+    Every term is integrated over the in-plane wavevector k in the variable
+    t = 2 k z on [0, inf) with adaptive quadrature, with Fresnel coefficients
+    formed here from ``eps_of_xi(xi)``; the l = 0 term takes its reflection
+    pair from ``zero_frequency_pair(k)``.  Terms are added until both fall
+    below rel_tol / 1000 of the running sums.  Returns (F, P) in J/m^2, Pa.
+    """
+    def integrals(pairs_at, y_l):
+        def log_term(t):
+            big_q = math.hypot(t, y_l)
+            return sum(math.log1p(-r * r * math.exp(-big_q)) for r in pairs_at(t))
+
+        def force_term(t):
+            big_q = math.hypot(t, y_l)
+            return big_q * sum(x / (1.0 - x)
+                               for x in (r * r * math.exp(-big_q) for r in pairs_at(t)))
+
+        options = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        return [sum(integrate.quad(lambda t: t * f(t), a, b, **options)[0]
+                    for a, b in ((0.0, 1.0), (1.0, np.inf)))
+                for f in (log_term, force_term)]
+
+    def zero_pairs(t):
+        return [float(r) for r in zero_frequency_pair(t / (2.0 * z))]
+
+    total_f, total_p = (0.5 * v for v in integrals(zero_pairs, 0.0))
+    for index in itertools.count(1):
+        xi = 2.0 * np.pi * index * sc.k * temperature / sc.hbar
+        y_l = 2.0 * xi * z / sc.c
+        eps = float(eps_of_xi(xi))
+
+        def pairs(t, eps=eps, y_l=y_l):
+            big_q, big_k = math.hypot(t, y_l), math.sqrt(t * t + eps * y_l * y_l)
+            return (eps * big_q - big_k) / (eps * big_q + big_k), (big_q - big_k) / (big_q + big_k)
+
+        term_f, term_p = integrals(pairs, y_l)
+        total_f += term_f
+        total_p += term_p
+        if abs(term_f) < 1e-3 * rel_tol * abs(total_f) and abs(term_p) < 1e-3 * rel_tol * abs(total_p):
+            break
+    prefactor = sc.k * temperature / (8.0 * np.pi * z**2)
+    return prefactor * total_f, -prefactor / z * total_p

@@ -7,9 +7,11 @@ from the independent oracles in oracles.py.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -228,6 +230,8 @@ def test_criterion_9_cli_determinism(tmp_path):
                            "--extrapolation", "drude:9.0:0.035",
                            "--xi-min-ev", "0.01", "--xi-max-ev", "10", "--points", "4"],
     }
+    # the CLI runs from the same package as this suite, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(tc.__file__).resolve().parents[1])}
     checks = []
     for name, argv in commands.items():
         outputs = []
@@ -235,7 +239,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             out = tmp_path / f"{name}-{attempt}.out"
             completed = subprocess.run(
                 [sys.executable, "-m", "thermal_casimir.cli", *argv, "--out", str(out)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             assert completed.returncode == 0, completed.stderr
             outputs.append(out.read_bytes())

@@ -74,6 +74,15 @@ class TestZeroTemperatureEntropy:
 
 
 class TestLargeSeparationLimit:
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_preconditions(self, bad, au_omega_p):
+        with pytest.raises(DomainError):
+            tc.entropy_large_z_limit(bad)
+        with pytest.raises(DomainError):
+            tc.drude_zero_T_entropy(bad, au_omega_p)
+        with pytest.raises(DomainError):
+            tc.drude_zero_T_entropy(1e-6, bad)
+
     def test_negative_and_scaling(self):
         assert tc.entropy_large_z_limit(1e-6) < 0.0
         assert tc.entropy_large_z_limit(1e-6) / tc.entropy_large_z_limit(2e-6) == pytest.approx(

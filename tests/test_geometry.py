@@ -23,8 +23,11 @@ class TestIdealPlatePressure:
         assert numeric == pytest.approx(tc.ideal_plate_pressure(z), rel=1e-9)
 
     def test_positive_separation_required(self):
-        with pytest.raises(DomainError):
-            tc.ideal_plate_pressure(0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                tc.ideal_plate_pressure(bad)
+            with pytest.raises(DomainError):
+                tc.ideal_plate_energy(bad)
 
 
 class TestProximityForce:

@@ -10,7 +10,7 @@ from thermal_casimir.constants import CONSTANTS
 from thermal_casimir.errors import ConvergenceError, DomainError
 from thermal_casimir.reflection import ReflectionPair
 
-from oracles import finite_difference_pressure
+from oracles import finite_difference_pressure, lifshitz_sum_quad
 
 
 class VacuumModel(tc.MaterialResponse):
@@ -108,14 +108,15 @@ class TestFreeEnergy:
 
 def test_concurrent_evaluation_is_bitwise_serial(ideal_metal, drude_au):
     from thermal_casimir.presets import si_static_table
-    from thermal_casimir.quadrature import _panel_rule_cached
+    from thermal_casimir.quadrature import _kronrod_rule_cached, _panel_rule_cached
 
     silicon = tc.TabulatedPermittivity(si_static_table())
     jobs = [(z, model) for model in (ideal_metal, drude_au, silicon)
             for z in (0.1e-6, 0.5e-6, 2e-6)]
-    # start cold so the worker threads fill the shared rule cache concurrently,
+    # start cold so the worker threads fill the shared rule caches concurrently,
     # with frequent thread switches to provoke interleaving
-    _panel_rule_cached.cache_clear()
+    for cache in (_panel_rule_cached, _kronrod_rule_cached, engine._rule):
+        cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -166,7 +167,7 @@ class TestTruncationAndErrors:
     def test_doubling_the_cutoff_changes_less_than_the_estimate(self, drude_au):
         z, temperature = 1e-6, 30.0
         result = tc.free_energy(z, temperature, drude_au)
-        rule = engine._Rule(1)
+        rule = engine._rule(1, engine.L0_EDGES, engine._LK_EDGES)
         y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
         f0, _ = engine._zero_term(z, drude_au, rule, False)
         rest, _ = engine._positive_terms(
@@ -181,7 +182,6 @@ class TestTruncationAndErrors:
         # two order-2 panels cannot resolve the l = 0 term at any refinement level
         monkeypatch.setattr(engine, "L0_EDGES", (0.0, 20.0, 40.0))
         monkeypatch.setattr(engine, "_LK_EDGES", (0.0, 20.0, 40.0))
-        monkeypatch.setattr(engine, "_PANEL_ORDER", 2)
         config = tc.EvaluationConfig(rel_tolerance=1e-7)
         with pytest.raises(ConvergenceError) as excinfo:
             tc.free_energy(5e-6, 300.0, ideal_metal, config)
@@ -225,6 +225,87 @@ class TestTruncationAndErrors:
             assert f_imp == pytest.approx(f_pla, rel=0.02)
 
 
+def _whole_row_stop_index(terms, tolerance):
+    """The ratio test evaluated on the whole row at once (reference)."""
+    tail_terms = engine._TAIL_TERMS
+    magnitude = np.abs(terms)
+    partial = np.abs(np.cumsum(terms))
+    small = magnitude <= tolerance * partial
+    ratio = np.clip(magnitude[1:] / np.maximum(magnitude[:-1], 1e-300), 0.0, 1.0 - 1e-9)
+    tail_ok = magnitude[1:] * ratio / (1.0 - ratio) <= 0.5 * tolerance * partial[1:]
+    run = small.copy()
+    for shift in range(1, tail_terms):
+        run[shift:] &= small[:-shift]
+    run[:tail_terms] = False
+    candidates = np.nonzero(run[1:] & tail_ok)[0]
+    return int(candidates[0]) + 1 if candidates.size else None
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("z, temperature", [(1e-6, 30.0), (0.1e-6, 300.0), (1e-6, 3.0)])
+    def test_blockwise_index_equals_the_whole_row_index(self, drude_au, z, temperature):
+        rule = engine._rule(1, engine.L0_EDGES, engine._LK_EDGES)
+        y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
+        f0, p0 = engine._zero_term(z, drude_au, rule, True)
+        terms_f, terms_p = engine._positive_terms(
+            z, temperature, drude_au, np.arange(1, 600), y_step, rule, True)
+        rng = np.random.default_rng(7)
+        for row in (np.concatenate((f0[:1], terms_f[0])), np.concatenate((p0[:1], terms_p[0]))):
+            for tolerance in (1e-5, 1e-7, 1e-9, 1e-11):
+                expected = _whole_row_stop_index(row, tolerance)
+                assert engine._StopRule(tolerance).stop_index(row) == expected
+                for _ in range(5):
+                    test, start, found = engine._StopRule(tolerance), 0, None
+                    while found is None and start < row.size:
+                        stop = start + int(rng.integers(1, 80))
+                        found = test.stop_index(row[start:stop])
+                        start = stop
+                    assert found == expected
+
+    def test_index_counts_from_the_start_of_the_row(self):
+        row = -np.exp(-np.arange(40.0))
+        expected = _whole_row_stop_index(row, 1e-6)
+        assert expected is not None
+        test = engine._StopRule(1e-6)
+        assert test.stop_index(row[:1]) is None
+        assert test.stop_index(row[1:]) == expected
+
+
+class TestEmbeddedPair:
+    @pytest.mark.parametrize("z, temperature", [(0.1e-6, 300.0), (1e-6, 300.0), (1e-6, 10.0)])
+    def test_level_two_moves_less_than_the_level_one_estimate(self, drude_au, plasma_au, z,
+                                                              temperature):
+        from thermal_casimir.presets import si_static_table
+
+        silicon = tc.TabulatedPermittivity(si_static_table())
+        tolerance = 1e-9
+        for model in (drude_au, plasma_au, silicon):
+            sums = []
+            for level in (1, 2):
+                rule = engine._rule(level, engine.L0_EDGES, engine._LK_EDGES)
+                terms_f, terms_p = engine._sum_terms(z, temperature, model, model, tolerance,
+                                                     rule, True)
+                sums.append((terms_f[0].sum(), terms_p[0].sum()))
+            (f1, p1), (f2, p2) = sums
+            estimate = tc.free_energy(z, temperature, model,
+                                      tc.EvaluationConfig(rel_tolerance=tolerance)
+                                      ).quadrature_error_estimate
+            assert abs(f2 - f1) <= estimate * abs(f1), model.tag
+            assert abs(p2 - p1) <= estimate * abs(p1), model.tag
+
+    @pytest.mark.parametrize("z", [1e-6, 0.2e-6])
+    def test_matches_term_by_term_adaptive_quadrature(self, drude_au, plasma_au, z):
+        temperature, tolerance = 300.0, 1e-9
+        config = tc.EvaluationConfig(rel_tolerance=tolerance)
+        for model, eps in ((drude_au, lambda xi: drude_au.eps(xi, temperature)),
+                           (plasma_au, plasma_au.eps)):
+            oracle_f, oracle_p = lifshitz_sum_quad(
+                z, temperature, eps, model.zero_frequency_reflection, tolerance)
+            result = tc.free_energy(z, temperature, model, config)
+            assert result.free_energy_per_area == pytest.approx(oracle_f, rel=tolerance, abs=0.0)
+            assert result.pressure == pytest.approx(oracle_p, rel=tolerance, abs=0.0)
+
+
 class TestEvaluationConfig:
     @pytest.mark.parametrize("tol", [0.0, -1e-3, 0.5])
     def test_tolerance_bounds(self, tol):
@@ -250,3 +331,10 @@ class TestClassicalLimit:
     def test_unknown_prescription(self):
         with pytest.raises(DomainError):
             tc.classical_limit(1e-6, 300.0, "casimir-polder")
+
+    def test_preconditions(self):
+        nan, inf = float("nan"), float("inf")
+        for z, temperature in ((0.0, 300.0), (nan, 300.0), (inf, 300.0), (1e-6, -1.0),
+                               (1e-6, nan), (1e-6, inf)):
+            with pytest.raises(DomainError):
+                tc.classical_limit(z, temperature)

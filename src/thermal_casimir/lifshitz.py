@@ -2,17 +2,38 @@
 
 The transverse-wavevector integral of every Matsubara term is rewritten in
 the dimensionless decay variable y = 2 q z, which turns each term into an
-integral with an exp(-y) envelope on [y_l, infinity), y_l = 2 xi_l z / c.
+integral with an exp(-y) envelope on [y_l, infinity), y_l = l * y_step with
+y_step = 4 pi k_B T z / (hbar c).
 
 Each term is integrated with the embedded Gauss-Kronrod pair (7-point
 Gauss inside 15-point Kronrod) on every panel: one evaluation of the
 integrand on the Kronrod nodes gives both sums.  The Kronrod sum is the
 result; its difference from the Gauss sum is the quadrature error estimate.
-The sum stops once a ratio test on the Kronrod terms estimates the remaining
-tail below the tolerance; the test runs once on each block of terms, carrying
-the running sum from block to block.  That tail estimate is added to the
-quadrature estimate.  If the total misses the tolerance, every panel is split
-once more and the sum is repeated, up to three levels.
+
+The sum over l has one path at every temperature:
+
+* terms l < L are summed exactly;
+* the terms l >= L become an integral over continuous l, taken in
+  eta = l * y_step on Kronrod panels over [L y_step, y_max], graded
+  geometrically near the lower end, plus Gregory's endpoint corrections
+  (Euler-Maclaurin without derivatives) formed from the exact terms
+  l = L, ..., L + 7;
+* the cut y_max is where the tail of the ideal-metal majorant falls below a
+  share of the tolerance.  |r| <= 1 and both integrands grow with r^2, so
+  the closed-form tail of the r = 1 terms bounds everything the cut drops.
+
+L starts at ``_EXACT_TERMS`` and doubles until the last Gregory correction
+fits its share of the tolerance (finer panels cannot shrink it), for as long
+as the integral needs fewer term evaluations than the terms it replaces.
+Otherwise every term up to y_max is summed exactly and the integral is
+empty; that is always so at high temperature or large separation, where few
+terms reach y_max.
+
+The relative error estimate has three parts: quadrature (Kronrod minus
+Gauss, on the terms and on the integral), summation (the last Gregory
+correction used) and truncation (the majorant bound beyond y_max).  If the
+total misses the tolerance, every panel is split once more and the sum is
+repeated, up to three levels.
 
 Free energy and pressure come from the same pass:
 
@@ -23,9 +44,8 @@ with w_0 = 1/2, w_l = 1 otherwise, and both polarizations summed inside the
 brackets.  The pressure integrand is the analytic z-derivative taken before
 the change of variables, so no finite differencing is involved.
 
-Everything here is a pure function of immutable inputs; term blocks are
-always reduced in Matsubara-index order, so results are bit-reproducible
-for a fixed configuration.
+Everything here is a pure function of immutable inputs, reduced in a fixed
+order, so results are bit-reproducible for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -44,11 +64,33 @@ from .quadrature import L0_EDGES, kronrod_rule, split_edges
 # The l = 0 term uses the graded L0_EDGES; terms with l >= 1 are analytic in y
 # and use the plain set.
 _LK_EDGES = (0.0, 0.0625, 0.25, 1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0)
-_MAX_TERMS = 2_000_000
-# Consecutive negligible terms required before the sum may stop.
-_TAIL_TERMS = 3
-# Integrand nodes per block of l >= 1 terms; bounds the work done past the stop.
-_BLOCK_NODES = 1 << 13
+# First L: terms l < L are summed exactly, the rest by the tail integral.
+_EXACT_TERMS = 16
+# Gregory coefficients G_1 .. G_8 (1/ln(1+x) - 1/x = sum_k G_(k+1) x^k): the
+# sum over l >= L exceeds the integral from L by sum_k G_(k+1) Delta^k f_L.
+_GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192,
+            -33953 / 3628800)
+# Panel edges of the tail integral in eta past the geometric grading, which
+# doubles the panel width from L * y_step up to the first edge here.
+_ETA_EDGES = (1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0, 50.0, 60.0)
+# Share of the tolerance allowed for the cut at y_max and for the last
+# Gregory correction.
+_SUM_SHARE = 1e-2
+# Integrand nodes evaluated at once; bounds the working set of a long sum.
+_CHUNK_NODES = 1 << 13
+
+
+def _gregory_weights():
+    """Weights on f_L .. f_(L+7) of all Gregory corrections and of the last one."""
+    weights = np.zeros(len(_GREGORY))
+    for order, coefficient in enumerate(_GREGORY):
+        last = np.array([coefficient * (-1) ** (order - j) * math.comb(order, j)
+                         for j in range(order + 1)])
+        weights[: order + 1] += last
+    return weights, last
+
+
+_GREGORY_WEIGHTS, _GREGORY_LAST = _gregory_weights()
 
 
 @dataclass(frozen=True)
@@ -73,10 +115,13 @@ DEFAULT_CONFIG = EvaluationConfig()
 class LifshitzResult:
     """Free energy per unit area and pressure at one (z, T) point.
 
-    ``terms_used`` counts Matsubara terms including l = 0;
-    ``quadrature_error_estimate`` is relative and includes the estimated
-    truncation remainder of the sum; ``zero_frequency_share`` is the fraction
-    of the free energy contributed by the l = 0 term.
+    ``terms_used`` counts the term integrals evaluated: the exact Matsubara
+    terms including l = 0 plus the nodes of the tail integral over continuous
+    l (a deterministic function of the inputs); ``quadrature_error_estimate``
+    is relative and adds three parts: quadrature (Kronrod minus Gauss),
+    summation (the last Gregory correction) and truncation (a bound on the
+    tail beyond the cut); ``zero_frequency_share`` is the fraction of the
+    free energy contributed by the l = 0 term.
     """
 
     z: float
@@ -142,99 +187,133 @@ def _zero_term(z, l0_model, rule, want_pressure):
 
 
 def _positive_terms(z, temperature, model, indices, y_step, rule, want_pressure):
-    """(Kronrod, Gauss) rows of term integrals for a block of l >= 1 indices."""
+    """(Kronrod, Gauss) rows of term integrals for l >= 1; l need not be an integer."""
     idx = np.asarray(indices, dtype=float)
     xi = (2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar) * idx[:, None]
     y = y_step * idx[:, None] + rule.lk_nodes[None, :]
-    decay = np.exp(-y)
-    k_perp = np.sqrt(np.maximum((y / (2.0 * z)) ** 2 - (xi / CONSTANTS.c) ** 2, 0.0))
-    pair = model.reflection(xi, k_perp, temperature)
-    f_val, p_val = _accumulate(pair, y, decay, want_pressure)
+    pair = model.reflection(xi, y / (2.0 * z), temperature)
+    f_val, p_val = _accumulate(pair, y, np.exp(-y), want_pressure)
     term_f = rule.lk_weights @ (y * f_val).T
     term_p = rule.lk_weights @ (y * y * p_val).T if want_pressure else np.zeros_like(term_f)
     return term_f, term_p
 
 
-class _StopRule:
-    """Ratio test on a row of terms that arrives block by block.
+def _terms(z, temperature, model, indices, y_step, rule, want_pressure):
+    """Term integrals, shape (F/P, Kronrod/Gauss, index), at most _CHUNK_NODES nodes at once."""
+    step = max(1, _CHUNK_NODES // rule.lk_nodes.size)
+    parts = [np.stack(_positive_terms(z, temperature, model, indices[start : start + step],
+                                      y_step, rule, want_pressure))
+             for start in range(0, indices.size, step)]
+    return np.concatenate(parts, axis=2) if parts else np.zeros((2, 2, 0))
 
-    The sum may stop at index l >= ``_TAIL_TERMS`` once ``_TAIL_TERMS``
-    consecutive terms are each below tolerance times the running sum and a
-    geometric extrapolation of the remaining tail from the last two terms is
-    below half of it.  The tail is estimated, not bounded.  The test at l
-    depends only on terms up to l, so each term is tested once: between
-    blocks the rule carries the running sum and the last ``_TAIL_TERMS``
-    magnitudes and flags.
+
+def _majorant_tail(a, y_step):
+    """Bounds on the summed |F| and |P| terms with y_l >= a (a > 0).
+
+    One ideal-metal term is at most m(a) = 2 e^-a / (1 - e^-a) times (a + 1)
+    for F and (a^2 + 2a + 2) for P; the sum over l is at most the first term
+    plus the integral of m over [a, inf) divided by y_step.  The exponent is
+    capped below overflow, which only loosens the bound.
     """
-
-    def __init__(self, tolerance):
-        self.tolerance, self.seen, self.total = tolerance, 0, 0.0
-        # placeholders ahead of index 0, which can never stop
-        self.magnitude, self.small = np.ones(_TAIL_TERMS), np.zeros(_TAIL_TERMS, dtype=bool)
-
-    def stop_index(self, terms):
-        """Index in the whole row where the sum may stop, or None."""
-        running = np.add.accumulate(np.concatenate(([self.total], terms)))
-        partial = np.abs(running[1:])
-        fresh = np.abs(terms)
-        magnitude = np.concatenate((self.magnitude, fresh))
-        small = np.concatenate((self.small, fresh <= self.tolerance * partial))
-        ratio = np.clip(fresh / np.maximum(magnitude[_TAIL_TERMS - 1 : -1], 1e-300), 0, 1 - 1e-9)
-        run = fresh * ratio / (1.0 - ratio) <= 0.5 * self.tolerance * partial
-        for shift in range(_TAIL_TERMS):
-            run &= small[_TAIL_TERMS - shift : small.size - shift]
-        run[: max(0, _TAIL_TERMS - self.seen)] = False
-        first, self.seen, self.total = self.seen, self.seen + fresh.size, running[-1]
-        self.magnitude, self.small = magnitude[-_TAIL_TERMS:], small[-_TAIL_TERMS:]
-        candidates = np.flatnonzero(run)
-        return first + int(candidates[0]) if candidates.size else None
+    scale = 2.0 / math.expm1(min(a, 700.0))
+    return (scale * (a + 1.0 + (a + 2.0) / y_step),
+            scale * (a * a + 2.0 * a + 2.0 + (a * a + 4.0 * a + 6.0) / y_step))
 
 
-def _sum_terms(z, temperature, model, l0_model, tolerance, rule, want_pressure):
-    """(Kronrod, Gauss) rows of weighted terms, up to where the Kronrod sum may stop.
+def _cut(y_step, targets):
+    """y (>= 1) where the majorant tail of each quantity is within its target.
 
-    The pressure rows are zero unless ``want_pressure``.
+    ``targets`` holds one positive target per quantity.  The log of the
+    bound falls with slope close to -1, so each step moves by the log excess.
     """
-    y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
-    term_limit = _term_limit(y_step, tolerance)
-    f0, p0 = _zero_term(z, l0_model, rule, want_pressure)
-    chunks = [(f0[:, None], p0[:, None])]
-    tests = [_StopRule(tolerance) for _ in range(1 + want_pressure)]
-    cuts = [test.stop_index(row[0]) for test, row in zip(tests, chunks[0])]
-    block = max(1, _BLOCK_NODES // rule.lk_nodes.size)
-    for start in range(1, term_limit, block):
-        indices = np.arange(start, min(term_limit, start + block))
-        chunks.append(_positive_terms(z, temperature, model, indices, y_step, rule, want_pressure))
-        cuts = [test.stop_index(row[0]) if cut is None else cut
-                for cut, test, row in zip(cuts, tests, chunks[-1])]
-        if None not in cuts:
+    a = 1.0
+    for _ in range(20):
+        excess = max(math.log(bound / target)
+                     for bound, target in zip(_majorant_tail(a, y_step), targets))
+        a = max(1.0, a + excess)
+        if a == 1.0 or abs(excess) < 1e-3:
             break
-    stop = None if None in cuts else max(cuts) + 1
-    return tuple(np.concatenate(rows, axis=1)[:, :stop] for rows in zip(*chunks))
+    return a
 
 
-def _tail_fraction(terms):
-    """Geometric estimate of the neglected tail relative to the sum."""
-    if terms.size < 2:
-        return 0.0
-    last, prev = abs(terms[-1]), abs(terms[-2])
-    total = abs(terms.sum())
-    if total == 0.0 or prev == 0.0 or last == 0.0:
-        return 0.0
-    ratio = min(last / prev, 1.0 - 1e-9)
-    return last * ratio / (1.0 - ratio) / total
+def _eta_edges(start, stop, level):
+    """Panels of the tail integral on [start, stop], split ``level - 1`` times."""
+    edges = [start]
+    while 2.0 * edges[-1] < min(stop, _ETA_EDGES[0]):
+        edges.append(2.0 * edges[-1])
+    edges += [e for e in _ETA_EDGES if edges[-1] < e < stop - 1.0]
+    edges.append(stop)
+    for _ in range(level - 1):
+        edges = split_edges(edges)
+    return edges
 
 
-def _term_limit(y_step, tolerance):
-    # Far enough out that the geometric tail of exp(-y_l) terms stays below
-    # tolerance even when successive terms decay slowly (y_step << 1).
-    cap_y = max(20.0, math.log(1.0 / tolerance) + math.log1p(1.0 / y_step) + 5.0)
-    limit = int(math.ceil(cap_y / y_step)) + 1
-    if limit > _MAX_TERMS:
-        raise ConvergenceError(
-            f"Matsubara sum would need more than {_MAX_TERMS} terms"
-        )
-    return limit
+def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_pressure):
+    """Matsubara sums of F and P with their error parts, at one refinement level.
+
+    Returns the (F/P, Kronrod/Gauss) sums, the (quadrature, summation,
+    truncation) relative error parts, each the larger over F and P, the
+    number of terms evaluated (exact terms plus integral nodes) and the
+    share of F from l = 0.  The P sums are zero unless ``want_pressure``.
+    """
+    rule = _rule(level, L0_EDGES, _LK_EDGES)
+    y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
+    quantities = slice(0, 2 if want_pressure else 1)
+
+    def cut_from(sums):
+        # every F term is <= 0 and every P term >= 0, so |partial sum| <= |sum|
+        return _cut(y_step, _SUM_SHARE * tolerance * np.abs(sums[quantities, 0]))
+
+    def terms(indices):
+        return _terms(z, temperature, model, indices, y_step, rule, want_pressure)
+
+    def fits(summation, sums):
+        # finer panels cannot shrink the Gregory remainder, so it gets a fixed share
+        return np.all(summation <= _SUM_SHARE * tolerance * np.abs(sums[:, 0]))
+
+    def finish(sums, outer_error, summation, truncated_from, count):
+        scale = np.maximum(np.abs(sums[:, 0]), 1e-300)
+        parts = ((np.abs(sums[:, 0] - sums[:, 1]) + outer_error) / scale, summation / scale,
+                 np.array(_majorant_tail(truncated_from, y_step)) / scale)
+        return (sums, tuple(float(part[quantities].max()) for part in parts), count,
+                zero[0, 0] / sums[0, 0])
+
+    zero = np.stack(_zero_term(z, l0_model, rule, want_pressure))
+    exact, head_end = _EXACT_TERMS, _EXACT_TERMS + len(_GREGORY)
+    if zero[0, 0]:
+        # the l = 0 term alone may already put the cut below the first Gregory terms
+        head_end = min(head_end, math.ceil(cut_from(zero) / y_step))
+    head = terms(np.arange(1, head_end))
+    reference = None  # sums of the first integral: the scale of later Gregory checks
+    while True:
+        partial = zero + head.sum(axis=2)
+        if not partial[0, 0]:
+            # nothing reflects at any evaluated node: the sum is exactly zero
+            return partial, (0.0, 0.0, 0.0), head_end, 0.0
+        y_max = cut_from(partial)
+        end = max(head_end, math.ceil(y_max / y_step))
+        if end == head_end or head_end < exact + len(_GREGORY):
+            break
+        edges = _eta_edges(exact * y_step, y_max, level)
+        if 15 * (len(edges) - 1) >= end - head_end:  # 15 Kronrod nodes per panel
+            break
+        gregory = head[:, :, exact - 1 :]
+        summation = np.abs(gregory[:, 0] @ _GREGORY_LAST)
+        if reference is None or fits(summation, reference):
+            nodes, kronrod, gauss = kronrod_rule(edges, cache=False)
+            values = terms(nodes / y_step)
+            sums = (zero + head[:, :, : exact - 1].sum(axis=2) + gregory @ _GREGORY_WEIGHTS
+                    + values @ kronrod / y_step)
+            if fits(summation, sums):
+                outer_error = np.abs(values[:, 0] @ (kronrod - gauss)) / y_step
+                return finish(sums, outer_error, summation, y_max, head_end + nodes.size)
+            reference = sums
+        exact *= 2
+        grown = min(exact + len(_GREGORY), end)
+        head = np.concatenate((head, terms(np.arange(head_end, grown))), axis=2)
+        head_end = grown
+    sums = partial + terms(np.arange(head_end, end)).sum(axis=2)
+    return finish(sums, 0.0, np.zeros(2), end * y_step, end)
 
 
 def _evaluate(z, temperature, model, config, l0_model, want_pressure):
@@ -244,20 +323,13 @@ def _evaluate(z, temperature, model, config, l0_model, want_pressure):
         raise DomainError("temperature must be positive and finite")
     tol = config.rel_tolerance
     for level in (1, 2, 3):
-        rule = _rule(level, L0_EDGES, _LK_EDGES)
-        terms_f, terms_p = _sum_terms(z, temperature, model, l0_model, tol, rule, want_pressure)
-        sum_f, gauss_f = terms_f.sum(axis=1)
-        sum_p, gauss_p = terms_p.sum(axis=1)
-        quad_rel = abs(sum_f - gauss_f) / max(abs(sum_f), 1e-300)
-        tail_rel = _tail_fraction(terms_f[0])
-        if want_pressure:
-            quad_rel = max(quad_rel, abs(sum_p - gauss_p) / max(abs(sum_p), 1e-300))
-            tail_rel = max(tail_rel, _tail_fraction(terms_p[0]))
-        estimate = quad_rel + tail_rel
-        share = terms_f[0, 0] / sum_f if sum_f != 0.0 else 0.0
+        sums, parts, count, share = _matsubara_sum(z, temperature, model, l0_model, tol,
+                                                   level, want_pressure)
+        estimate = sum(parts)
         if estimate <= tol:
             break
-    return sum_f, sum_p, terms_f.shape[1], estimate, share, estimate <= tol
+    sum_f, sum_p = (float(value) for value in sums[:, 0])
+    return sum_f, sum_p, count, estimate, float(share), estimate <= tol
 
 
 def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):

@@ -15,12 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
+import math
+
 import numpy as np
 
 from .constants import CONSTANTS
 from .errors import DomainError, ExtrapolationError, PrescriptionError
 from .quadrature import panel_rule
-from .reflection import ReflectionPair, fresnel_reflection, impedance_reflection
+from .reflection import ReflectionPair, fresnel_q, impedance_q
+# the validated (xi, k_perp) forms stay importable here, where perfbench/tracer.py
+# looks them up
+from .reflection import fresnel_reflection, impedance_reflection  # noqa: F401
 
 _ZERO_XI_MESSAGE = "zero-frequency term must use the prescription rule, not eps(i*xi)"
 
@@ -71,10 +76,10 @@ class PowerLawGamma:
     floor: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_ref < 0.0 or self.floor < 0.0:
-            raise DomainError("relaxation parameters must be nonnegative")
-        if self.reference_temperature <= 0.0 or self.exponent <= 0.0:
-            raise DomainError("reference temperature and exponent must be positive")
+        if not (0.0 <= self.gamma_ref < math.inf and 0.0 <= self.floor < math.inf):
+            raise DomainError("relaxation parameters must be nonnegative and finite")
+        if not (0.0 < self.reference_temperature < math.inf and 0.0 < self.exponent < math.inf):
+            raise DomainError("reference temperature and exponent must be positive and finite")
 
     def __call__(self, temperature):
         t = np.asarray(temperature, dtype=float)
@@ -135,10 +140,10 @@ class DrudeParameters:
     reference_temperature: float = 300.0
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise DomainError("plasma frequency must be positive")
-        if self.gamma < 0.0:
-            raise DomainError("relaxation parameter must be nonnegative")
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError("plasma frequency must be positive and finite")
+        if not 0.0 <= self.gamma < math.inf:
+            raise DomainError("relaxation parameter must be nonnegative and finite")
 
     def relaxation(self, temperature=None):
         """gamma at the given temperature (reference value when no map is set)."""
@@ -203,8 +208,8 @@ class DrudeTail:
     gamma: float
 
     def __post_init__(self):
-        if self.omega_p <= 0.0 or self.gamma <= 0.0:
-            raise DomainError("Drude tail needs positive omega_p and gamma")
+        if not (0.0 < self.omega_p < math.inf and 0.0 < self.gamma < math.inf):
+            raise DomainError("Drude tail needs positive, finite omega_p and gamma")
 
 
 @dataclass(frozen=True)
@@ -219,8 +224,8 @@ class ConstantEpsilon:
     eps_static: float
 
     def __post_init__(self):
-        if self.eps_static < 1.0:
-            raise DomainError("static permittivity must be >= 1")
+        if not 1.0 <= self.eps_static < math.inf:
+            raise DomainError("static permittivity must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -280,14 +285,14 @@ def _grid_dispersion_integral(xi, table, rel_tol):
         pieces = np.linspace(u[:-1], u[1:], 2**level + 1, axis=1)
         edges = np.append(pieces[:, :-1].ravel(), u[-1])
         nodes_u, weights = panel_rule(edges, 8)
-        omega = np.exp(nodes_u)
-        absorption = np.interp(nodes_u, u, table.im_eps)
-        # integrand in u: omega^2 * Im eps / (omega^2 + xi^2)
+        omega2 = np.exp(nodes_u) ** 2
+        # integrand in u: omega^2 * Im eps / (omega^2 + xi^2), one block-sized array
+        numerator = omega2 * np.interp(nodes_u, u, table.im_eps)
         result = np.empty(xi.size)
-        for start in range(0, xi.size, 128):
-            block = xi[start : start + 128, None]
-            kernel = omega[None, :] ** 2 * absorption[None, :] / (omega[None, :] ** 2 + block**2)
-            result[start : start + 128] = kernel @ weights
+        for start in range(0, xi.size, 16):
+            kernel = omega2 + xi[start : start + 16, None] ** 2
+            np.divide(numerator, kernel, out=kernel)
+            result[start : start + 16] = kernel @ weights
         if previous is not None:
             scale = np.maximum(np.abs(result), 1e-300)
             if np.max(np.abs(result - previous) / scale) <= rel_tol:
@@ -403,11 +408,17 @@ class MaterialResponse:
     Subclasses provide finite-frequency reflection amplitudes and the
     explicit zero-frequency rule.  Instances are immutable and safe to share
     across threads.
+
+    ``reflection(xi, q, temperature)`` takes the imaginary frequency xi > 0
+    and the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c, the
+    variable the Matsubara engine integrates in, and does not validate them;
+    :func:`.fresnel_reflection` and :func:`.impedance_reflection` are the
+    validated functions of (xi, k_perp).
     """
 
     tag: ClassVar[str] = "abstract"
 
-    def reflection(self, xi, k_perp, temperature=None):
+    def reflection(self, xi, q, temperature=None):
         raise NotImplementedError
 
     def zero_frequency_reflection(self, k_perp):
@@ -428,8 +439,8 @@ class IdealMetal(MaterialResponse):
 
     tag: ClassVar[str] = "ideal"
 
-    def reflection(self, xi, k_perp, temperature=None):
-        one = np.ones(np.broadcast(np.asarray(xi), np.asarray(k_perp)).shape)
+    def reflection(self, xi, q, temperature=None):
+        one = np.ones(np.broadcast(np.asarray(xi), np.asarray(q)).shape)
         return ReflectionPair(one, one)
 
     def zero_frequency_reflection(self, k_perp):
@@ -447,8 +458,8 @@ class Drude(MaterialResponse):
     def eps(self, xi, temperature=None):
         return eps_drude(xi, self.parameters, temperature)
 
-    def reflection(self, xi, k_perp, temperature=None):
-        return fresnel_reflection(xi, k_perp, self.eps(xi, temperature))
+    def reflection(self, xi, q, temperature=None):
+        return fresnel_q(xi, q, self.eps(xi, temperature))
 
     def zero_frequency_reflection(self, k_perp):
         one = self._ones_like(k_perp)
@@ -463,14 +474,14 @@ class Plasma(MaterialResponse):
     tag: ClassVar[str] = "plasma"
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise DomainError("plasma frequency must be positive")
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError("plasma frequency must be positive and finite")
 
     def eps(self, xi, temperature=None):
         return eps_plasma(xi, self.omega_p)
 
-    def reflection(self, xi, k_perp, temperature=None):
-        return fresnel_reflection(xi, k_perp, self.eps(xi))
+    def reflection(self, xi, q, temperature=None):
+        return fresnel_q(xi, q, self.eps(xi))
 
     def zero_frequency_reflection(self, k_perp):
         ck = CONSTANTS.c * np.asarray(k_perp, dtype=float)
@@ -495,8 +506,8 @@ class TabulatedPermittivity(MaterialResponse):
     def eps(self, xi, temperature=None):
         return eps_from_table(xi, self.table, self.kk_rel_tol)
 
-    def reflection(self, xi, k_perp, temperature=None):
-        return fresnel_reflection(xi, k_perp, self.eps(xi))
+    def reflection(self, xi, q, temperature=None):
+        return fresnel_q(xi, q, self.eps(xi))
 
     def zero_frequency_reflection(self, k_perp):
         one = self._ones_like(k_perp)
@@ -520,8 +531,8 @@ class InfraredOpticsImpedance(MaterialResponse):
     tag: ClassVar[str] = "impedance-ir"
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise DomainError("plasma frequency must be positive")
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError("plasma frequency must be positive and finite")
 
     def impedance(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -530,8 +541,8 @@ class InfraredOpticsImpedance(MaterialResponse):
         value = xi / np.sqrt(xi**2 + self.omega_p**2)
         return value if value.ndim else float(value)
 
-    def reflection(self, xi, k_perp, temperature=None):
-        return impedance_reflection(xi, k_perp, self.impedance(xi))
+    def reflection(self, xi, q, temperature=None):
+        return impedance_q(xi, q, self.impedance(xi))
 
     def zero_frequency_reflection(self, k_perp):
         ck = CONSTANTS.c * np.asarray(k_perp, dtype=float)
@@ -554,8 +565,8 @@ class SkinEffectImpedance(MaterialResponse):
     tag: ClassVar[str] = "impedance-skin"
 
     def __post_init__(self):
-        if self.omega_p <= 0.0 or self.gamma <= 0.0:
-            raise DomainError("skin-effect impedance needs positive omega_p and gamma")
+        if not (0.0 < self.omega_p < math.inf and 0.0 < self.gamma < math.inf):
+            raise DomainError("skin-effect impedance needs positive, finite omega_p and gamma")
 
     def impedance(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -564,8 +575,8 @@ class SkinEffectImpedance(MaterialResponse):
         value = np.sqrt(xi * self.gamma) / self.omega_p
         return value if value.ndim else float(value)
 
-    def reflection(self, xi, k_perp, temperature=None):
-        return impedance_reflection(xi, k_perp, self.impedance(xi))
+    def reflection(self, xi, q, temperature=None):
+        return impedance_q(xi, q, self.impedance(xi))
 
     def zero_frequency_reflection(self, k_perp):
         one = self._ones_like(k_perp)

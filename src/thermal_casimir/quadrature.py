@@ -87,14 +87,19 @@ def _panel_rule_cached(edges_key, order):
 
 
 @lru_cache(maxsize=None)
-def _kronrod_rule_cached(edges_key):
+def _kronrod_reference():
     half_x = np.array(_XK15)
     base_x = np.concatenate((-half_x, half_x[-2::-1]))
     base_k = np.array(_WK15 + _WK15[-2::-1])
     gauss = np.zeros(8)
     gauss[1::2] = _WG7
     base_g = np.concatenate((gauss, gauss[-2::-1]))
-    return _mapped(edges_key, base_x, base_k, base_g)
+    return base_x, base_k, base_g
+
+
+@lru_cache(maxsize=None)
+def _kronrod_rule_cached(edges_key):
+    return _mapped(edges_key, *_kronrod_reference())
 
 
 def panel_rule(edges, order):
@@ -115,20 +120,24 @@ def panel_rule(edges, order):
     return _panel_rule_cached(_edges_key(edges), int(order))
 
 
-def kronrod_rule(edges):
+def kronrod_rule(edges, *, cache=True):
     """Embedded 7-point Gauss / 15-point Kronrod pair on every panel.
 
     Parameters
     ----------
     edges : sequence of float
         Strictly increasing panel boundaries.
+    cache : bool
+        Keep the rule for later calls with the same edges.  Pass False for
+        edges that change from call to call, so the cache does not grow
+        without bound.
 
     Returns
     -------
     (ndarray, ndarray, ndarray)
         Flattened nodes (15 per panel), Kronrod weights, and Gauss weights
         on the same nodes (zero off the 7 Gauss nodes of each panel);
-        read-only and cached.
+        read-only.
     """
-    return _kronrod_rule_cached(_edges_key(edges))
-
+    key = _edges_key(edges)
+    return _kronrod_rule_cached(key) if cache else _mapped(key, *_kronrod_reference())

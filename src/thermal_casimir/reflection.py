@@ -49,14 +49,19 @@ def fresnel_reflection(xi, k_perp, eps, constants=CONSTANTS):
         raise DomainError("fresnel_reflection requires k_perp >= 0")
     if np.any(eps < 1.0):
         raise DomainError("fresnel_reflection requires eps >= 1")
-    w2 = (xi / constants.c) ** 2
-    k2 = k_perp**2
-    q = np.sqrt(k2 + w2)
-    k = np.sqrt(k2 + eps * w2)
+    return fresnel_q(xi, np.sqrt(k_perp**2 + (xi / constants.c) ** 2), eps, constants)
+
+
+def fresnel_q(xi, q, eps, constants=CONSTANTS):
+    """Fresnel amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
+
+    The kernel behind :func:`fresnel_reflection`, without its input checks:
+    the caller guarantees xi > 0, q >= xi/c and eps >= 1.  Inside the
+    half-space k = sqrt(q^2 + (eps - 1) xi^2/c^2).
+    """
+    k = np.sqrt(q * q + (eps - 1.0) * (xi / constants.c) ** 2)
     eps_q = eps * q
-    r_tm = (eps_q - k) / (eps_q + k)
-    r_te = (k - q) / (k + q)
-    return ReflectionPair(r_tm, r_te)
+    return ReflectionPair((eps_q - k) / (eps_q + k), (k - q) / (k + q))
 
 
 def impedance_reflection(xi, k_perp, impedance, constants=CONSTANTS):
@@ -67,17 +72,26 @@ def impedance_reflection(xi, k_perp, impedance, constants=CONSTANTS):
     """
     xi = np.asarray(xi, dtype=float)
     k_perp = np.asarray(k_perp, dtype=float)
-    impedance = np.asarray(impedance, dtype=float)
     if np.any(xi <= 0.0):
         raise DomainError("impedance_reflection requires xi > 0")
     if np.any(k_perp < 0.0):
         raise DomainError("impedance_reflection requires k_perp >= 0")
+    return impedance_q(xi, np.sqrt(k_perp**2 + (xi / constants.c) ** 2), impedance, constants)
+
+
+def impedance_q(xi, q, impedance, constants=CONSTANTS):
+    """Leontovich amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
+
+    The kernel behind :func:`impedance_reflection`.  It checks only the
+    impedance, which has the size of ``xi``; the caller guarantees xi > 0
+    and q >= xi/c.
+    """
+    impedance = np.asarray(impedance, dtype=float)
     if np.any(impedance <= 0.0) or np.any(impedance > 1.0):
         raise DomainError("surface impedance must lie in (0, 1]")
-    cq = constants.c * np.sqrt(k_perp**2 + (xi / constants.c) ** 2)
-    r_tm = (cq - impedance * xi) / (cq + impedance * xi)
-    r_te = (xi - cq * impedance) / (xi + cq * impedance)
-    return ReflectionPair(r_tm, r_te)
+    cq = constants.c * q
+    z_xi = impedance * xi
+    return ReflectionPair((cq - z_xi) / (cq + z_xi), (xi - cq * impedance) / (xi + cq * impedance))
 
 
 def zero_frequency_reflection(model, k_perp):

@@ -196,3 +196,35 @@ def lifshitz_sum_quad(z, temperature, eps_of_xi, zero_frequency_pair, rel_tol):
             break
     prefactor = sc.k * temperature / (8.0 * np.pi * z**2)
     return prefactor * total_f, -prefactor / z * total_p
+
+
+# ---------------------------------------------------------------------------
+# brute-force Matsubara sum on the engine's own term integrals
+# ---------------------------------------------------------------------------
+
+
+def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
+    """Free energy per area and pressure, summing every Matsubara term one by one.
+
+    Uses the engine's term integrals at refinement ``level`` and adds every
+    term with y_l = l * y_step <= ``y_stop``, far past any cut the engine
+    makes (the ideal-metal tail beyond y = 80 is below 1e-30 of one term),
+    with no integral, no endpoint correction and no stop test.  Terms are
+    added with ``math.fsum``.  Returns (F, P) in J/m^2 and Pa.
+    """
+    from thermal_casimir import lifshitz as engine
+
+    rule = engine._rule(level, engine.L0_EDGES, engine._LK_EDGES)
+    y_step = 4.0 * np.pi * sc.k * temperature * z / (sc.hbar * sc.c)
+    zero_f, zero_p = engine._zero_term(z, model, rule, True)
+    terms_f, terms_p = [zero_f[:1]], [zero_p[:1]]
+    count = int(y_stop / y_step)
+    for start in range(1, count + 1, 256):
+        indices = np.arange(start, min(start + 256, count + 1))
+        block_f, block_p = engine._positive_terms(z, temperature, model, indices, y_step, rule,
+                                                  True)
+        terms_f.append(block_f[0])
+        terms_p.append(block_p[0])
+    prefactor = sc.k * temperature / (8.0 * np.pi * z**2)
+    return (prefactor * math.fsum(np.concatenate(terms_f)),
+            -prefactor / z * math.fsum(np.concatenate(terms_p)))

@@ -101,11 +101,12 @@ class TestPressureCommand:
         assert code == 2
         assert not out.exists()
 
-    def test_unreachable_matsubara_sum_is_a_numerical_failure(self, tmp_path, capsys):
-        # picometer separations need more Matsubara terms than the engine
-        # allows; the run must exit 3 without touching the output file
+    def test_unreachable_tolerance_is_a_numerical_failure(self, tmp_path, capsys):
+        # at picometre separations the term panels cannot resolve the skin depth,
+        # so 1e-10 stays out of reach at every refinement level; the run must
+        # exit 3 without touching the output file
         code, out = run(tmp_path, "pressure", "--z-min-um", "1e-6", "--z-max-um", "1e-6",
-                        "--points", "1")
+                        "--points", "1", "--tol", "1e-10")
         assert code == 3
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err
@@ -130,6 +131,18 @@ def test_non_finite_separation_or_temperature_exits_two(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
     assert code == 2
     assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--omega-p-ev", "nan"), ("--omega-p-ev", "inf"),
+                                         ("--gamma-ev", "nan"), ("--gamma-ev", "inf")])
+def test_non_finite_material_parameter_exits_two(tmp_path, capsys, flag, value):
+    out = tmp_path / "out.csv"
+    out.write_text("previous result\n")
+    code = main(["pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1",
+                 "--model", "drude", flag, value, "--out", str(out)])
+    assert code == 2
+    assert out.read_text() == "previous result\n"
     assert "finite" in capsys.readouterr().err
 
 

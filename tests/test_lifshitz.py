@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from thermal_casimir.constants import CONSTANTS
 from thermal_casimir.errors import ConvergenceError, DomainError
 from thermal_casimir.reflection import ReflectionPair
 
-from oracles import finite_difference_pressure, lifshitz_sum_quad
+from oracles import finite_difference_pressure, lifshitz_sum_quad, matsubara_sum_direct
 
 
 class VacuumModel(tc.MaterialResponse):
@@ -18,8 +19,8 @@ class VacuumModel(tc.MaterialResponse):
 
     tag = "vacuum"
 
-    def reflection(self, xi, k_perp, temperature=None):
-        shape = np.broadcast(np.asarray(xi), np.asarray(k_perp)).shape
+    def reflection(self, xi, q, temperature=None):
+        shape = np.broadcast(np.asarray(xi), np.asarray(q)).shape
         return ReflectionPair(np.zeros(shape), np.zeros(shape))
 
     def zero_frequency_reflection(self, k_perp):
@@ -46,6 +47,14 @@ class TestFreeEnergy:
         result = tc.free_energy(1e-6, 300.0, VacuumModel())
         assert result.free_energy_per_area == 0.0
         assert result.pressure == 0.0
+
+    def test_millimetre_separation_is_the_zero_frequency_term(self, drude_au):
+        # the first l >= 1 term sits at y_1 > 700, past where exp(-y) underflows
+        result = tc.free_energy(1e-3, 300.0, drude_au)
+        assert result.zero_frequency_share == 1.0
+        assert result.quadrature_error_estimate <= engine.DEFAULT_CONFIG.rel_tolerance
+        assert result.free_energy_per_area == pytest.approx(
+            tc.classical_limit(1e-3, 300.0, "drude-like"), rel=1e-7)
 
     def test_result_invariants(self, drude_au, plasma_au, ideal_metal):
         for model in (drude_au, plasma_au, ideal_metal):
@@ -164,18 +173,16 @@ class TestPressure:
 
 
 class TestTruncationAndErrors:
-    def test_doubling_the_cutoff_changes_less_than_the_estimate(self, drude_au):
-        z, temperature = 1e-6, 30.0
+    @pytest.mark.parametrize("temperature", [30.0, 3.0])
+    def test_doubling_the_cutoff_changes_less_than_the_estimate(self, drude_au, monkeypatch,
+                                                                temperature):
+        z = 1e-6
         result = tc.free_energy(z, temperature, drude_au)
-        rule = engine._rule(1, engine.L0_EDGES, engine._LK_EDGES)
-        y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
-        f0, _ = engine._zero_term(z, drude_au, rule, False)
-        rest, _ = engine._positive_terms(
-            z, temperature, drude_au, np.arange(1, 2 * result.terms_used), y_step, rule, False
-        )
-        doubled_f = f0[0] + rest[0].sum()
-        prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
-        change = abs(prefactor * doubled_f - result.free_energy_per_area)
+        cut = engine._cut
+        monkeypatch.setattr(engine, "_cut", lambda y_step, targets: 2.0 * cut(y_step, targets))
+        doubled = tc.free_energy(z, temperature, drude_au)
+        assert doubled.terms_used > result.terms_used
+        change = abs(doubled.free_energy_per_area - result.free_energy_per_area)
         assert change <= result.quadrature_error_estimate * abs(result.free_energy_per_area)
 
     def test_coarse_diagnostic_rule_reports_failure(self, ideal_metal, monkeypatch):
@@ -190,13 +197,31 @@ class TestTruncationAndErrors:
         assert error.achieved_tolerance > 1e-7
         assert error.best_estimate.free_energy_per_area < 0.0
 
-    @pytest.mark.parametrize("z, temperature", [(1e-6, 30.0), (0.1e-6, 300.0)])
+    @pytest.mark.parametrize("z, temperature", [(1e-6, 30.0), (0.1e-6, 300.0), (1e-6, 3.0)])
+    def test_exact_terms_and_cut_do_not_change_the_result(self, drude_au, monkeypatch, z,
+                                                          temperature):
+        # more exact terms (a later start of the integral) and a later cut both
+        # move the result by less than the reported estimate
+        config = tc.EvaluationConfig(rel_tolerance=1e-9)
+        reference = tc.free_energy(z, temperature, drude_au, config)
+        cut = engine._cut
+        for exact, stretch in ((24, 1.0), (64, 1.0), (16, 1.5)):
+            monkeypatch.setattr(engine, "_EXACT_TERMS", exact)
+            monkeypatch.setattr(engine, "_cut",
+                                lambda y_step, targets, s=stretch: s * cut(y_step, targets))
+            result = tc.free_energy(z, temperature, drude_au, config)
+            bound = reference.quadrature_error_estimate + result.quadrature_error_estimate
+            assert result.free_energy_per_area == pytest.approx(
+                reference.free_energy_per_area, rel=bound, abs=0.0)
+            assert result.pressure == pytest.approx(reference.pressure, rel=bound, abs=0.0)
+
+    @pytest.mark.parametrize("z, temperature", [(1e-6, 30.0), (0.1e-6, 300.0), (1e-6, 1.0)])
     def test_block_size_does_not_change_the_result(self, drude_au, monkeypatch, z,
                                                     temperature):
         config = tc.EvaluationConfig(rel_tolerance=1e-9)
         reference = tc.free_energy(z, temperature, drude_au, config)
-        for block_nodes in (1, 64 << 14):
-            monkeypatch.setattr(engine, "_BLOCK_NODES", block_nodes)
+        for chunk_nodes in (1, 64 << 14):
+            monkeypatch.setattr(engine, "_CHUNK_NODES", chunk_nodes)
             result = tc.free_energy(z, temperature, drude_au, config)
             assert result.terms_used == reference.terms_used
             assert result.free_energy_per_area == pytest.approx(
@@ -216,6 +241,25 @@ class TestTruncationAndErrors:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_millikelvin_sum_costs_about_what_one_kelvin_costs(self, drude_au, monkeypatch):
+        nodes = [0]
+        reflection = tc.Drude.reflection
+
+        def counting(model, xi, q, temperature=None):
+            nodes[0] += np.size(q)
+            return reflection(model, xi, q, temperature)
+
+        monkeypatch.setattr(tc.Drude, "reflection", counting)
+        config = tc.EvaluationConfig(rel_tolerance=1e-9)
+        counts = []
+        for temperature in (1.0, 1e-3):
+            nodes[0] = 0
+            result = tc.free_energy(1e-6, temperature, drude_au, config)
+            assert result.quadrature_error_estimate <= config.rel_tolerance
+            assert result.free_energy_per_area < 0.0 and result.pressure < 0.0
+            counts.append(nodes[0])
+        assert counts[1] <= 2 * counts[0]
+
     def test_impedance_and_plasma_prescriptions_agree_at_micron_scale(self, plasma_au,
                                                                       au_omega_p):
         impedance = tc.InfraredOpticsImpedance(au_omega_p)
@@ -225,50 +269,31 @@ class TestTruncationAndErrors:
             assert f_imp == pytest.approx(f_pla, rel=0.02)
 
 
-def _whole_row_stop_index(terms, tolerance):
-    """The ratio test evaluated on the whole row at once (reference)."""
-    tail_terms = engine._TAIL_TERMS
-    magnitude = np.abs(terms)
-    partial = np.abs(np.cumsum(terms))
-    small = magnitude <= tolerance * partial
-    ratio = np.clip(magnitude[1:] / np.maximum(magnitude[:-1], 1e-300), 0.0, 1.0 - 1e-9)
-    tail_ok = magnitude[1:] * ratio / (1.0 - ratio) <= 0.5 * tolerance * partial[1:]
-    run = small.copy()
-    for shift in range(1, tail_terms):
-        run[shift:] &= small[:-shift]
-    run[:tail_terms] = False
-    candidates = np.nonzero(run[1:] & tail_ok)[0]
-    return int(candidates[0]) + 1 if candidates.size else None
-
-
-class TestStopRule:
+class TestGregoryTail:
     @pytest.mark.parametrize("z, temperature", [(1e-6, 30.0), (0.1e-6, 300.0), (1e-6, 3.0)])
-    def test_blockwise_index_equals_the_whole_row_index(self, drude_au, z, temperature):
-        rule = engine._rule(1, engine.L0_EDGES, engine._LK_EDGES)
-        y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
-        f0, p0 = engine._zero_term(z, drude_au, rule, True)
-        terms_f, terms_p = engine._positive_terms(
-            z, temperature, drude_au, np.arange(1, 600), y_step, rule, True)
-        rng = np.random.default_rng(7)
-        for row in (np.concatenate((f0[:1], terms_f[0])), np.concatenate((p0[:1], terms_p[0]))):
-            for tolerance in (1e-5, 1e-7, 1e-9, 1e-11):
-                expected = _whole_row_stop_index(row, tolerance)
-                assert engine._StopRule(tolerance).stop_index(row) == expected
-                for _ in range(5):
-                    test, start, found = engine._StopRule(tolerance), 0, None
-                    while found is None and start < row.size:
-                        stop = start + int(rng.integers(1, 80))
-                        found = test.stop_index(row[start:stop])
-                        start = stop
-                    assert found == expected
+    def test_eight_more_exact_terms_agree(self, drude_au, plasma_au, monkeypatch, z,
+                                          temperature):
+        # the result is unchanged, within its estimate, when L grows by eight
+        config = tc.EvaluationConfig(rel_tolerance=1e-9)
+        for model in (drude_au, plasma_au):
+            reference = tc.free_energy(z, temperature, model, config)
+            monkeypatch.setattr(engine, "_EXACT_TERMS", engine._EXACT_TERMS + 8)
+            result = tc.free_energy(z, temperature, model, config)
+            monkeypatch.undo()
+            estimate = reference.quadrature_error_estimate
+            assert result.free_energy_per_area == pytest.approx(
+                reference.free_energy_per_area, rel=estimate, abs=0.0), model.tag
+            assert result.pressure == pytest.approx(reference.pressure, rel=estimate,
+                                                    abs=0.0), model.tag
 
-    def test_index_counts_from_the_start_of_the_row(self):
-        row = -np.exp(-np.arange(40.0))
-        expected = _whole_row_stop_index(row, 1e-6)
-        assert expected is not None
-        test = engine._StopRule(1e-6)
-        assert test.stop_index(row[:1]) is None
-        assert test.stop_index(row[1:]) == expected
+    @pytest.mark.parametrize("decay", [0.05, 0.1, 0.3])
+    def test_weights_give_the_exponential_tail(self, decay):
+        # sum_{l >= L} e^(-a l) - int_L^inf e^(-a l) dl = e^(-a L) (1/(1 - e^-a) - 1/a)
+        values = np.exp(-decay * np.arange(len(engine._GREGORY)))
+        exact = 1.0 / -np.expm1(-decay) - 1.0 / decay
+        last = abs(values @ engine._GREGORY_LAST)
+        assert abs(values @ engine._GREGORY_WEIGHTS - exact) <= last
+        assert last <= decay ** 7
 
 
 class TestEmbeddedPair:
@@ -282,10 +307,9 @@ class TestEmbeddedPair:
         for model in (drude_au, plasma_au, silicon):
             sums = []
             for level in (1, 2):
-                rule = engine._rule(level, engine.L0_EDGES, engine._LK_EDGES)
-                terms_f, terms_p = engine._sum_terms(z, temperature, model, model, tolerance,
-                                                     rule, True)
-                sums.append((terms_f[0].sum(), terms_p[0].sum()))
+                level_sums, *_ = engine._matsubara_sum(z, temperature, model, model, tolerance,
+                                                       level, True)
+                sums.append(level_sums[:, 0])
             (f1, p1), (f2, p2) = sums
             estimate = tc.free_energy(z, temperature, model,
                                       tc.EvaluationConfig(rel_tolerance=tolerance)
@@ -304,6 +328,46 @@ class TestEmbeddedPair:
             result = tc.free_energy(z, temperature, model, config)
             assert result.free_energy_per_area == pytest.approx(oracle_f, rel=tolerance, abs=0.0)
             assert result.pressure == pytest.approx(oracle_p, rel=tolerance, abs=0.0)
+
+
+_TAGS = ("ideal", "drude", "plasma", "impedance-ir", "impedance-skin", "table")
+
+
+@lru_cache(maxsize=None)
+def _model(tag):
+    from thermal_casimir.presets import build_model
+
+    return build_model(tag, preset="Si-static" if tag == "table" else "Au-paper")
+
+
+@lru_cache(maxsize=None)
+def _direct_sum(tag, z, temperature):
+    return matsubara_sum_direct(z, temperature, _model(tag), level=2)
+
+
+def _assert_matches_direct_sum(tag, z, temperature, tolerance):
+    result = tc.free_energy(z, temperature, _model(tag),
+                            tc.EvaluationConfig(rel_tolerance=tolerance))
+    direct_f, direct_p = _direct_sum(tag, z, temperature)
+    assert result.quadrature_error_estimate <= tolerance
+    assert result.free_energy_per_area == pytest.approx(direct_f, rel=0.01 * tolerance, abs=0.0)
+    assert result.pressure == pytest.approx(direct_p, rel=0.01 * tolerance, abs=0.0)
+
+
+class TestDirectSum:
+    """The hybrid sum against every term added one by one (``matsubara_sum_direct``)."""
+
+    @pytest.mark.parametrize("tag", _TAGS)
+    def test_low_temperatures(self, tag):
+        for temperature in (1.0, 3.0, 10.0):
+            _assert_matches_direct_sum(tag, 1e-6, temperature, 1e-9)
+
+    @pytest.mark.parametrize("temperature", [10.0, 300.0])
+    @pytest.mark.parametrize("z", [50e-9, 0.1e-6, 1e-6, 10e-6])
+    @pytest.mark.parametrize("tag", _TAGS)
+    def test_accuracy_grid(self, tag, z, temperature):
+        for tolerance in (1e-5, 1e-7, 1e-9, 1e-10, 1e-11):
+            _assert_matches_direct_sum(tag, z, temperature, tolerance)
 
 
 class TestEvaluationConfig:

@@ -104,10 +104,28 @@ class TestGammaMaps:
             tc.TabulatedGamma((1.0, 10.0), (1e12, 1e11))
 
     def test_drude_parameters_validation(self):
-        with pytest.raises(DomainError):
-            tc.DrudeParameters(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            tc.DrudeParameters(1e16, -1.0)
+        nan, inf = float("nan"), float("inf")
+        for omega_p, gamma in ((-1.0, 1.0), (1e16, -1.0), (nan, 1.0), (inf, 1.0),
+                               (1e16, nan), (1e16, inf)):
+            with pytest.raises(DomainError):
+                tc.DrudeParameters(omega_p, gamma)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: tc.Plasma(v),
+        lambda v: tc.PowerLawGamma(v),
+        lambda v: tc.PowerLawGamma(1e13, floor=v),
+        lambda v: tc.PowerLawGamma(1e13, reference_temperature=v),
+        lambda v: tc.InfraredOpticsImpedance(v),
+        lambda v: tc.SkinEffectImpedance(v, 1e13),
+        lambda v: tc.SkinEffectImpedance(1e16, v),
+        lambda v: tc.DrudeTail(v, 1e13),
+        lambda v: tc.DrudeTail(1e16, v),
+        lambda v: tc.ConstantEpsilon(v),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, build, value):
+        with pytest.raises(DomainError, match="finite"):
+            build(value)
 
 
 class TestOpticalTable:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermal_casimir as tc
 from thermal_casimir.constants import CONSTANTS
@@ -88,8 +90,9 @@ class TestAmplitudeBounds:
                                             drude_synthetic_table):
         xi = np.geomspace(1e12, 1e17, 8)[:, None]
         k_perp = np.geomspace(1e3, 1e9, 9)[None, :]
+        q = np.sqrt(k_perp**2 + (xi / CONSTANTS.c) ** 2)
         for model in self._models(au_omega_p, au_gamma, drude_synthetic_table):
-            pair = model.reflection(xi, k_perp, 300.0)
+            pair = model.reflection(xi, q, 300.0)
             assert np.all(np.abs(pair.r_tm) <= 1.0), model.tag
             assert np.all(np.abs(pair.r_te) <= 1.0), model.tag
             zero = tc.zero_frequency_reflection(model, k_perp.ravel())
@@ -105,6 +108,26 @@ class TestAmplitudeBounds:
             if hasattr(model, "impedance"):
                 values = model.impedance(xi)
                 assert np.all(values > 0.0), model.tag
+
+
+_TAGS = ("ideal", "drude", "plasma", "impedance-ir", "impedance-skin", "table")
+
+
+@settings(max_examples=60, deadline=None)
+@given(tag=st.sampled_from(_TAGS),
+       log_xi=st.floats(9.0, 18.0),
+       log_excess=st.floats(0.0, 8.0),
+       temperature=st.floats(1e-3, 1e3))
+def test_reflection_never_exceeds_one(tag, log_xi, log_excess, temperature):
+    # |r| <= 1 for every model at every (xi, q >= xi/c): the ideal-metal majorant
+    # that bounds the cut Matsubara tail rests on it
+    from thermal_casimir.presets import build_model
+
+    model = build_model(tag, preset="Si-static" if tag == "table" else "Au-paper")
+    xi = 10.0**log_xi
+    q = xi / CONSTANTS.c * np.array([1.0, 10.0**log_excess])
+    pair = model.reflection(xi, q, temperature)
+    assert np.all(np.abs(pair.r_tm) <= 1.0) and np.all(np.abs(pair.r_te) <= 1.0)
 
 
 class TestZeroFrequencyRules:

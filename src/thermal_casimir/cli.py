@@ -226,8 +226,8 @@ def cmd_yukawa(args):
     geometry = load_geometry_pair(args.geometry_file)
     if args.points < 1:
         raise DomainError("lambda grid needs at least one point")
-    if not (0.0 < args.lambda_min_um <= args.lambda_max_um):
-        raise DomainError("need 0 < lambda-min-um <= lambda-max-um")
+    if not (0.0 < args.lambda_min_um <= args.lambda_max_um < np.inf):
+        raise DomainError("need 0 < lambda-min-um <= lambda-max-um, both finite")
     lambdas = np.geomspace(args.lambda_min_um * 1e-6, args.lambda_max_um * 1e-6, args.points)
     curve = exclusion_bound(
         bound, geometry, lambdas,

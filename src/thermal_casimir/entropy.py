@@ -19,7 +19,7 @@ from .constants import CONSTANTS, ZETA3
 from .errors import ConvergenceError, DomainError
 from .lifshitz import EvaluationConfig, _free_energy_value
 from .materials import Drude, PowerLawGamma
-from .quadrature import L0_EDGES, panel_rule, split_edges
+from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, split_edges
 
 #: Engine tolerance used for entropy differences; the free-energy differences
 #: being differentiated are three to four orders below the free energy itself.
@@ -29,9 +29,7 @@ _ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 VIOLATION_THRESHOLD = 5.0
 CLEARANCE_THRESHOLD = 1.0
 
-#: Gauss-Legendre order per panel, and panel refinements before giving up, of
-#: the zero-temperature entropy integral.
-_PANEL_ORDER = 8
+#: Panel splits of the zero-temperature entropy integral before giving up.
 _MAX_LEVELS = 6
 
 #: Cold-end fit variants: (polynomial degree, number of coldest grid points).
@@ -94,9 +92,12 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
     yhat = 2 z omega_p / c.  Strictly negative for every omega_p > 0.
 
     The integrand behaves like y ln y at the origin, as the ideal-metal l = 0
-    term does, so it is integrated on the engine's graded l = 0 panels, split
-    in two until consecutive levels agree; ConvergenceError, carrying the
-    best estimate, if they still differ after ``_MAX_LEVELS`` splits.
+    term does, so it is integrated with the embedded Gauss-Kronrod pair on the
+    engine's graded l = 0 panels.  The Kronrod sum is the result and
+    |Kronrod - Gauss|, floored at the rounding level, its error estimate;
+    panels are split in two until the estimate meets ``rel_tol``, and
+    ConvergenceError, carrying the best estimate, is raised if it still does
+    not after ``_MAX_LEVELS`` splits.
 
     Parameters
     ----------
@@ -105,27 +106,23 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
     omega_p : float
         Plasma frequency, rad/s.
     rel_tol : float
-        Relative tolerance of the panel refinement, against max(|I|, zeta(3)).
+        Relative tolerance of the error estimate, against max(|I|, zeta(3)).
     """
     if not (0.0 < z < np.inf and 0.0 < omega_p < np.inf):
         raise DomainError("separation and plasma frequency must be positive and finite")
     y_hat = 2.0 * z * omega_p / CONSTANTS.c
     prefactor = CONSTANTS.k_B / (16.0 * np.pi * z**2)
 
-    def integral(edges):
-        y, weights = panel_rule(edges, _PANEL_ORDER)
+    edges = L0_EDGES
+    for _ in range(_MAX_LEVELS + 1):
+        y, kronrod, gauss = kronrod_rule(edges)
         root = np.sqrt(y_hat**2 + y * y)
         g = (y - root) / (y + root)
-        return (y * np.log1p(-(g * g) * np.exp(-y))) @ weights
-
-    edges = np.asarray(L0_EDGES)
-    value = integral(edges)
-    for _ in range(_MAX_LEVELS):
-        previous, edges = value, split_edges(edges)
-        value = integral(edges)
-        achieved = abs(value - previous) / max(abs(value), ZETA3)
+        value, error = kronrod_sum(y * np.log1p(-(g * g) * np.exp(-y)), kronrod, gauss)
+        achieved = error / max(abs(value), ZETA3)
         if achieved <= rel_tol:
             return prefactor * value
+        edges = split_edges(edges)
     raise ConvergenceError("zero-temperature entropy quadrature did not converge",
                            best_estimate=prefactor * value, achieved_tolerance=achieved)
 

@@ -127,6 +127,6 @@ def pressure_from_gradient(force_gradient, radius):
 
     P = -(1 / (2 pi R)) dF/dz, the standard dynamic-experiment conversion.
     """
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise DomainError("radius must be positive and finite")
     return -force_gradient / (2.0 * np.pi * radius)

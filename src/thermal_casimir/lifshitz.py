@@ -300,7 +300,7 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
         gregory = head[:, :, exact - 1 :]
         summation = np.abs(gregory[:, 0] @ _GREGORY_LAST)
         if reference is None or fits(summation, reference):
-            nodes, kronrod, gauss = kronrod_rule(edges, cache=False)
+            nodes, kronrod, gauss = kronrod_rule(edges)
             values = terms(nodes / y_step)
             sums = (zero + head[:, :, : exact - 1].sum(axis=2) + gregory @ _GREGORY_WEIGHTS
                     + values @ kronrod / y_step)

@@ -20,14 +20,19 @@ import math
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, ExtrapolationError, PrescriptionError
-from .quadrature import panel_rule
+from .errors import ConvergenceError, DomainError, ExtrapolationError, PrescriptionError
+from .quadrature import kronrod_rule, kronrod_sum, split_edges
 from .reflection import ReflectionPair, fresnel_q, impedance_q
 # the validated (xi, k_perp) forms stay importable here, where perfbench/tracer.py
-# looks them up
+# and perfbench/tests look them up
 from .reflection import fresnel_reflection, impedance_reflection  # noqa: F401
 
 _ZERO_XI_MESSAGE = "zero-frequency term must use the prescription rule, not eps(i*xi)"
+
+#: Relative tolerance of the dispersion integral behind eps_from_table, and the
+#: panel splits allowed to reach it.
+_DISPERSION_REL_TOL = 1e-6
+_DISPERSION_SPLITS = 4
 
 
 def matsubara_frequency(index, temperature, constants=CONSTANTS):
@@ -272,33 +277,33 @@ class OpticalTable:
         object.__setattr__(self, "im_eps", im_eps)
 
 
-def _grid_dispersion_integral(xi, table, rel_tol):
+def _grid_dispersion_integral(xi, table):
     """Integral of omega * Im eps / (omega^2 + xi^2) over the tabulated range.
 
     Performed in log frequency with the tabulated absorption interpolated
-    linearly in log omega; panels are split until the result is stable to
-    ``rel_tol`` for every requested xi.
+    linearly in log omega, on one Kronrod panel per table interval; panels are
+    split until the estimate |K - G| is within ``_DISPERSION_REL_TOL`` of the
+    result for every requested xi, at most ``_DISPERSION_SPLITS`` times.
+    Returns the integrals and the relative tolerance achieved.
     """
     u = np.log(table.omega)
-    previous = None
-    for level in range(5):
-        pieces = np.linspace(u[:-1], u[1:], 2**level + 1, axis=1)
-        edges = np.append(pieces[:, :-1].ravel(), u[-1])
-        nodes_u, weights = panel_rule(edges, 8)
+    edges = u
+    for _ in range(_DISPERSION_SPLITS + 1):
+        nodes_u, kronrod, gauss = kronrod_rule(edges)
         omega2 = np.exp(nodes_u) ** 2
         # integrand in u: omega^2 * Im eps / (omega^2 + xi^2), one block-sized array
         numerator = omega2 * np.interp(nodes_u, u, table.im_eps)
-        result = np.empty(xi.size)
+        result, error = np.empty(xi.size), np.empty(xi.size)
         for start in range(0, xi.size, 16):
-            kernel = omega2 + xi[start : start + 16, None] ** 2
+            block = slice(start, start + 16)
+            kernel = omega2 + xi[block, None] ** 2
             np.divide(numerator, kernel, out=kernel)
-            result[start : start + 16] = kernel @ weights
-        if previous is not None:
-            scale = np.maximum(np.abs(result), 1e-300)
-            if np.max(np.abs(result - previous) / scale) <= rel_tol:
-                return result
-        previous = result
-    return previous
+            result[block], error[block] = kronrod_sum(kernel, kronrod, gauss)
+        achieved = np.max(error / np.maximum(np.abs(result), 1e-300))
+        if achieved <= _DISPERSION_REL_TOL:
+            break
+        edges = split_edges(edges)
+    return result, achieved
 
 
 def _drude_tail_integral(xi, rule, omega_min):
@@ -320,20 +325,22 @@ def _drude_tail_integral(xi, rule, omega_min):
     return rule.omega_p**2 * g * out
 
 
-def eps_from_table(xi, table, rel_tol=1e-6):
+def eps_from_table(xi, table):
     """Permittivity at imaginary frequency from tabulated absorption data.
 
     Evaluates 1 + (2/pi) * integral of omega Im eps(omega) / (omega^2 + xi^2)
     with the below-grid integrand supplied by the table's extrapolation rule
-    and no absorption assumed above the grid.
+    and no absorption assumed above the grid.  The tabulated range is
+    integrated with the embedded Gauss-Kronrod pair, one panel per table
+    interval: the Kronrod sum is the result and |Kronrod - Gauss|, floored at
+    the rounding level, its error estimate, which must stay within a relative
+    1e-6 at every xi; panels are split in two until it does.
 
     Parameters
     ----------
     xi : float or ndarray
         Imaginary angular frequency, rad/s, strictly positive.
     table : OpticalTable
-    rel_tol : float
-        Relative tolerance of the panel refinement.
 
     Returns
     -------
@@ -346,13 +353,16 @@ def eps_from_table(xi, table, rel_tol=1e-6):
         If the table has no extrapolation rule but the region below the grid
         would contribute more than 1% of the integral (estimated by a 1/omega
         continuation of the lowest tabulated absorption).
+    ConvergenceError
+        If the dispersion integral misses its tolerance after four splits;
+        carries the best estimate of eps(i*xi) and the tolerance achieved.
     """
     xi_in = np.asarray(xi, dtype=float)
     if np.any(xi_in <= 0.0):
         raise DomainError(_ZERO_XI_MESSAGE)
     xi_arr = np.ravel(xi_in).astype(float)
 
-    grid_part = _grid_dispersion_integral(xi_arr, table, rel_tol)
+    grid_part, achieved = _grid_dispersion_integral(xi_arr, table)
     omega_min = table.omega[0]
     rule = table.extrapolation
     if isinstance(rule, DrudeTail):
@@ -373,7 +383,12 @@ def eps_from_table(xi, table, rel_tol=1e-6):
         raise DomainError("unknown extrapolation rule")
 
     value = 1.0 + (2.0 / np.pi) * (grid_part + tail)
-    return value.reshape(xi_in.shape) if xi_in.ndim else float(value[0])
+    value = value.reshape(xi_in.shape) if xi_in.ndim else float(value[0])
+    if achieved > _DISPERSION_REL_TOL:
+        raise ConvergenceError(
+            f"dispersion integral did not reach tolerance {_DISPERSION_REL_TOL:g} "
+            f"(achieved {achieved:.3g})", best_estimate=value, achieved_tolerance=float(achieved))
+    return value
 
 
 def drude_absorption(omega, omega_p, gamma):
@@ -500,11 +515,10 @@ class TabulatedPermittivity(MaterialResponse):
     """
 
     table: OpticalTable
-    kk_rel_tol: float = 1e-6
     tag: ClassVar[str] = "table"
 
     def eps(self, xi, temperature=None):
-        return eps_from_table(xi, self.table, self.kk_rel_tol)
+        return eps_from_table(xi, self.table)
 
     def reflection(self, xi, q, temperature=None):
         return fresnel_q(xi, q, self.eps(xi))

@@ -1,24 +1,22 @@
-"""Composite panel rules: Gauss-Legendre and the embedded Gauss-Kronrod pair.
+"""Composite embedded Gauss-Kronrod panels: the library's one quadrature rule.
 
 The library integrates smooth, exponentially decaying integrands over finite
-panels.  A rule is the flattened set of mapped nodes and weights for a
-sequence of panel edges; refinement splits every panel in two.
+panels.  :func:`kronrod_rule` maps the nested 7-point Gauss / 15-point Kronrod
+pair (QUADPACK, Piessens et al. 1983) onto every panel of a sequence of edges:
+one evaluation of the integrand on the 15 Kronrod nodes yields both sums.  The
+Kronrod sum is the result and the Gauss sum checks it; refinement splits every
+panel in two (:func:`split_edges`).
 
-:func:`kronrod_rule` gives the nested 7-point Gauss / 15-point Kronrod pair on
-every panel (QUADPACK, Piessens et al. 1983): one evaluation of the integrand
-on the 15 Kronrod nodes yields both sums, and their difference is the error
-estimate.  The Matsubara engine (:mod:`.lifshitz`) uses it.
-
-:func:`panel_rule` gives plain Gauss-Legendre panels; there an error estimate
-comes from comparing two consecutive refinement levels.  Its callers are the
-zero-temperature Drude entropy integral (:func:`.entropy.drude_zero_T_entropy`)
-and the dispersion integral of tabulated optical data
-(:func:`.materials.eps_from_table`).
+:func:`kronrod_sum` forms the result and its error estimate |K - G|, floored at
+the rounding level 50 eps sum w_K |f| below which the two sums cannot be told
+apart.  The zero-temperature Drude entropy integral
+(:func:`.entropy.drude_zero_T_entropy`) and the dispersion integral of
+tabulated optical data (:func:`.materials.eps_from_table`) use it; the
+Matsubara engine (:mod:`.lifshitz`) takes the same pair and forms its own
+estimate from the signed Kronrod - Gauss difference.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +49,16 @@ _WG7 = (
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 )
 
+# The pair on [-1, 1]: 15 nodes, Kronrod weights, Gauss weights (zero off the
+# Gauss nodes).
+_BASE_X = np.concatenate((-np.array(_XK15), _XK15[-2::-1]))
+_BASE_K = np.array(_WK15 + _WK15[-2::-1])
+_BASE_G = np.zeros(15)
+_BASE_G[1:15:2] = _WG7 + _WG7[-2::-1]
+
+# QUADPACK's rounding level, relative to the integral of |f|.
+_ROUNDING = 50.0 * np.finfo(float).eps
+
 
 def split_edges(edges):
     """Insert the midpoint of every panel, doubling the panel count."""
@@ -62,75 +70,13 @@ def split_edges(edges):
     return out
 
 
-def _edges_key(edges):
-    edges = tuple(float(e) for e in edges)
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("panel edges must be strictly increasing")
-    return edges
-
-
-def _mapped(edges_key, base_x, *base_weights):
-    """Read-only nodes and weights of a reference rule mapped onto every panel."""
-    edges = np.asarray(edges_key, dtype=float)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    arrays = [(mid[:, None] + half[:, None] * base_x[None, :]).ravel()]
-    arrays += [(half[:, None] * w[None, :]).ravel() for w in base_weights]
-    for array in arrays:
-        array.setflags(write=False)
-    return tuple(arrays)
-
-
-@lru_cache(maxsize=None)
-def _panel_rule_cached(edges_key, order):
-    return _mapped(edges_key, *np.polynomial.legendre.leggauss(order))
-
-
-@lru_cache(maxsize=None)
-def _kronrod_reference():
-    half_x = np.array(_XK15)
-    base_x = np.concatenate((-half_x, half_x[-2::-1]))
-    base_k = np.array(_WK15 + _WK15[-2::-1])
-    gauss = np.zeros(8)
-    gauss[1::2] = _WG7
-    base_g = np.concatenate((gauss, gauss[-2::-1]))
-    return base_x, base_k, base_g
-
-
-@lru_cache(maxsize=None)
-def _kronrod_rule_cached(edges_key):
-    return _mapped(edges_key, *_kronrod_reference())
-
-
-def panel_rule(edges, order):
-    """Nodes and weights of a composite Gauss-Legendre rule.
-
-    Parameters
-    ----------
-    edges : sequence of float
-        Strictly increasing panel boundaries.
-    order : int
-        Gauss-Legendre order per panel.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Flattened nodes and weights; read-only and cached.
-    """
-    return _panel_rule_cached(_edges_key(edges), int(order))
-
-
-def kronrod_rule(edges, *, cache=True):
+def kronrod_rule(edges):
     """Embedded 7-point Gauss / 15-point Kronrod pair on every panel.
 
     Parameters
     ----------
     edges : sequence of float
-        Strictly increasing panel boundaries.
-    cache : bool
-        Keep the rule for later calls with the same edges.  Pass False for
-        edges that change from call to call, so the cache does not grow
-        without bound.
+        Finite, strictly increasing panel boundaries.
 
     Returns
     -------
@@ -139,5 +85,32 @@ def kronrod_rule(edges, *, cache=True):
         on the same nodes (zero off the 7 Gauss nodes of each panel);
         read-only.
     """
-    key = _edges_key(edges)
-    return _kronrod_rule_cached(key) if cache else _mapped(key, *_kronrod_reference())
+    edges = np.asarray(edges, dtype=float)
+    if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+            or np.any(np.diff(edges) <= 0.0)):
+        raise ValueError("panel edges must be finite and strictly increasing")
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    arrays = [(mid[:, None] + half[:, None] * _BASE_X[None, :]).ravel()]
+    arrays += [(half[:, None] * w[None, :]).ravel() for w in (_BASE_K, _BASE_G)]
+    for array in arrays:
+        array.setflags(write=False)
+    return tuple(arrays)
+
+
+def kronrod_sum(values, kronrod, gauss):
+    """Kronrod result and error estimate of integrand values on a rule.
+
+    ``values`` holds the integrand on the nodes of :func:`kronrod_rule` in its
+    last axis.  The estimate is |K - G|, but never below the rounding level
+    50 eps sum w_K |f|: on fine panels both sums round to the same value, and
+    their difference then says nothing about the error.
+
+    Returns
+    -------
+    (ndarray, ndarray)
+        The Kronrod sums and their error estimates, one per leading index.
+    """
+    result = values @ kronrod
+    error = np.maximum(np.abs(result - values @ gauss), _ROUNDING * (np.abs(values) @ kronrod))
+    return result, error

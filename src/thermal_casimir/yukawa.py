@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+import math
+
 import numpy as np
 
 from .constants import CONSTANTS
@@ -27,8 +29,8 @@ class YukawaParams:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise DomainError("interaction range must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError("interaction range must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class Layer:
     density: float
 
     def __post_init__(self):
-        if self.thickness <= 0.0 or self.density <= 0.0:
-            raise DomainError("layer thickness and density must be positive")
+        if not (0.0 < self.thickness < math.inf and 0.0 < self.density < math.inf):
+            raise DomainError("layer thickness and density must be positive and finite")
 
 
 def _check_coatings(coatings):
@@ -57,8 +59,8 @@ class SemispacePlate:
     coatings: Tuple[Layer, ...] = ()
 
     def __post_init__(self):
-        if self.density <= 0.0:
-            raise DomainError("density must be positive")
+        if not 0.0 < self.density < math.inf:
+            raise DomainError("density must be positive and finite")
         object.__setattr__(self, "coatings", _check_coatings(self.coatings))
 
 
@@ -71,8 +73,8 @@ class FiniteSlab:
     coatings: Tuple[Layer, ...] = ()
 
     def __post_init__(self):
-        if self.thickness <= 0.0 or self.density <= 0.0:
-            raise DomainError("slab thickness and density must be positive")
+        if not (0.0 < self.thickness < math.inf and 0.0 < self.density < math.inf):
+            raise DomainError("slab thickness and density must be positive and finite")
         object.__setattr__(self, "coatings", _check_coatings(self.coatings))
 
 
@@ -85,8 +87,8 @@ class Sphere:
     coatings: Tuple[Layer, ...] = ()
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.density <= 0.0:
-            raise DomainError("sphere radius and density must be positive")
+        if not (0.0 < self.radius < math.inf and 0.0 < self.density < math.inf):
+            raise DomainError("sphere radius and density must be positive and finite")
         coatings = _check_coatings(self.coatings)
         if sum(c.thickness for c in coatings) >= self.radius:
             raise DomainError("sphere coatings must be thinner than the radius")
@@ -176,8 +178,8 @@ def yukawa_energy_plates(z, body_a, body_b, params):
 
     E(z) = -2 pi G alpha lambda^3 e^{-z/lambda} Phi_a Phi_b.
     """
-    if z <= 0.0:
-        raise DomainError("separation must be positive")
+    if not 0.0 < z < math.inf:
+        raise DomainError("separation must be positive and finite")
     lam = params.lam
     phi = _plate_profile_factor(body_a, lam) * _plate_profile_factor(body_b, lam)
     return -2.0 * np.pi * CONSTANTS.G * params.alpha * lam**3 * np.exp(-z / lam) * phi
@@ -197,8 +199,8 @@ def yukawa_force_sphere_plate(z, sphere, plate, params):
     Pairwise integration of the alpha term over a (possibly coated) sphere
     against the plate's depth profile, differentiated in the gap width.
     """
-    if z <= 0.0:
-        raise DomainError("separation must be positive")
+    if not 0.0 < z < math.inf:
+        raise DomainError("separation must be positive and finite")
     if not isinstance(sphere, Sphere):
         raise DomainError("first body must be a sphere")
     lam = params.lam
@@ -292,8 +294,8 @@ def exclusion_bound(bound, geometry, lambdas, provenance=""):
         Interaction ranges, m.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size == 0 or np.any(lambdas <= 0.0):
-        raise DomainError("lambda grid must be nonempty and positive")
+    if lambdas.size == 0 or not np.all((0.0 < lambdas) & (lambdas < math.inf)):
+        raise DomainError("lambda grid must be nonempty, positive and finite")
     pressure_fn = _hypothetical_pressure_fn(geometry)
     alpha_max = np.empty(lambdas.size)
     for i, lam in enumerate(lambdas):

@@ -305,6 +305,24 @@ class TestYukawaCommand:
         _, rows = parse_csv(out.read_text())
         assert rows[0]["alpha_max"] == "inf"
 
+    @pytest.mark.parametrize("geometry, lambda_max", [
+        (GEOMETRY_JSON, "inf"),
+        (GEOMETRY_JSON, "nan"),
+        (GEOMETRY_JSON.replace("2330.0", "NaN"), "5"),
+        (GEOMETRY_JSON.replace("150e-6", "Infinity"), "5"),
+    ])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, geometry, lambda_max):
+        bound_file, geometry_file = self._write_inputs(tmp_path)
+        geometry_file.write_text(geometry)
+        out = tmp_path / "out.csv"
+        out.write_text("previous result\n")
+        code = main(["yukawa", "--bound-file", str(bound_file),
+                     "--geometry-file", str(geometry_file), "--lambda-min-um", "0.2",
+                     "--lambda-max-um", lambda_max, "--points", "4", "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "previous result\n"
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_bound_file_exits_two(self, tmp_path):
         _, geometry_file = self._write_inputs(tmp_path)
         code, out = run(tmp_path, "yukawa", "--bound-file", str(tmp_path / "absent.csv"),
@@ -345,6 +363,20 @@ class TestOpticsConvertCommand:
             assert float(row["eps_i_xi"]) == pytest.approx(
                 tc.eps_drude(xi, au_parameters), rel=5e-3
             )
+
+    @pytest.mark.parametrize("command", [
+        ("optics-convert", "--xi-min-ev", "0.1", "--xi-max-ev", "1", "--points", "3"),
+        ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--model", "table"),
+    ])
+    def test_unconverged_dispersion_integral_is_a_numerical_failure(self, tmp_path, capsys,
+                                                                    monkeypatch, command):
+        from thermal_casimir import materials
+
+        monkeypatch.setattr(materials, "_DISPERSION_REL_TOL", 1e-20)
+        code, out = run(tmp_path, *command, "--preset", "Si-static")
+        assert code == 3
+        assert not out.exists()
+        assert "dispersion integral" in capsys.readouterr().err
 
     def test_requires_a_table_source(self, tmp_path):
         code, out = run(tmp_path, "optics-convert", "--xi-min-ev", "0.1",

@@ -123,9 +123,10 @@ class TestPressureFromGradient:
             tc.ideal_plate_pressure(z), rel=1e-12
         )
 
-    def test_positive_radius_required(self):
+    @pytest.mark.parametrize("radius", [0.0, np.nan, np.inf])
+    def test_positive_radius_required(self, radius):
         with pytest.raises(DomainError):
-            tc.pressure_from_gradient(1.0, 0.0)
+            tc.pressure_from_gradient(1.0, radius)
 
 
 class TestGeometryCase:

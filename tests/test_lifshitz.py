@@ -4,6 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermal_casimir as tc
 from thermal_casimir import lifshitz as engine
@@ -117,15 +119,13 @@ class TestFreeEnergy:
 
 def test_concurrent_evaluation_is_bitwise_serial(ideal_metal, drude_au):
     from thermal_casimir.presets import si_static_table
-    from thermal_casimir.quadrature import _kronrod_rule_cached, _panel_rule_cached
 
     silicon = tc.TabulatedPermittivity(si_static_table())
     jobs = [(z, model) for model in (ideal_metal, drude_au, silicon)
             for z in (0.1e-6, 0.5e-6, 2e-6)]
-    # start cold so the worker threads fill the shared rule caches concurrently,
+    # start cold so the worker threads fill the shared rule cache concurrently,
     # with frequent thread switches to provoke interleaving
-    for cache in (_panel_rule_cached, _kronrod_rule_cached, engine._rule):
-        cache.cache_clear()
+    engine._rule.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -368,6 +368,22 @@ class TestDirectSum:
     def test_accuracy_grid(self, tag, z, temperature):
         for tolerance in (1e-5, 1e-7, 1e-9, 1e-10, 1e-11):
             _assert_matches_direct_sum(tag, z, temperature, tolerance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tag=st.sampled_from(_TAGS), log_z=st.floats(-8.0, -5.0), log_t=st.floats(-1.0, 3.0))
+def test_pressure_is_minus_the_separation_derivative(tag, log_z, log_t):
+    # Central differences at h = z/1000 err by (h/z)^2 (n+1)(n+2)/6 for F ~ z^-n.
+    # F falls no faster than z^-4 here (its effective exponent stays within
+    # 2.0-3.2), and the errors of F at both ends, each <= tol |F|, add at most
+    # tol (z/h) / n with n >= 2.
+    tolerance, step = 1e-10, 1e-3
+    bound = step**2 * 5.0 * 6.0 / 6.0 + tolerance / step / 2.0
+    z, temperature = 10.0**log_z, 10.0**log_t
+    config = tc.EvaluationConfig(rel_tolerance=tolerance)
+    analytic = tc.pressure(z, temperature, _model(tag), config)
+    numeric = finite_difference_pressure(z, temperature, _model(tag), config)
+    assert numeric == pytest.approx(analytic, rel=bound, abs=0.0)
 
 
 class TestEvaluationConfig:

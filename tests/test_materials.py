@@ -181,6 +181,19 @@ class TestOpticalTable:
         xi = np.geomspace(1e10, 1e19, 30)
         assert np.all(tc.eps_from_table(xi, drude_synthetic_table) >= 1.0)
 
+    def test_unreachable_tolerance_raises_with_best_estimate(self, monkeypatch):
+        from thermal_casimir import materials
+
+        table = si_static_table()
+        xi = np.geomspace(1e12, 1e17, 5)
+        converged = tc.eps_from_table(xi, table)
+        # K15 and G7 cannot agree beyond the rounding level, so 1e-20 is out of reach
+        monkeypatch.setattr(materials, "_DISPERSION_REL_TOL", 1e-20)
+        with pytest.raises(tc.ConvergenceError, match="dispersion integral") as info:
+            tc.eps_from_table(xi, table)
+        assert info.value.best_estimate == pytest.approx(converged, rel=1e-12)
+        assert 1e-20 < info.value.achieved_tolerance < 1e-12
+
 
 class TestPresets:
     def test_au_paper_parameters(self):

@@ -254,6 +254,11 @@ class TestExclusionBound:
         curve = tc.exclusion_bound(bound, plate_pair, np.array([1e-9]))
         assert np.isinf(curve.alpha_max[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_lambda_grid_must_be_positive_and_finite(self, flat_bound, plate_pair, bad):
+        with pytest.raises(DomainError):
+            tc.exclusion_bound(flat_bound, plate_pair, np.array([1e-6, bad]))
+
     def test_sphere_sphere_rejected(self, flat_bound):
         with pytest.raises(DomainError):
             tc.exclusion_bound(
@@ -283,3 +288,22 @@ class TestBodyValidation:
             tc.FiniteSlab(1e-6, 0.0)
         with pytest.raises(DomainError):
             tc.Layer(1e-9, -5.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda v: tc.YukawaParams(1.0, v),
+        lambda v: tc.Layer(v, GOLD),
+        lambda v: tc.Layer(1e-9, v),
+        lambda v: tc.SemispacePlate(v),
+        lambda v: tc.FiniteSlab(v, GOLD),
+        lambda v: tc.FiniteSlab(1e-6, v),
+        lambda v: tc.Sphere(v, GOLD),
+        lambda v: tc.Sphere(1e-4, v),
+        lambda v: tc.yukawa_energy_plates(v, tc.SemispacePlate(GOLD), tc.SemispacePlate(GOLD),
+                                          tc.YukawaParams(1.0, 1e-6)),
+        lambda v: tc.yukawa_force_sphere_plate(v, tc.Sphere(1e-4, GOLD), tc.SemispacePlate(GOLD),
+                                               tc.YukawaParams(1.0, 1e-6)),
+    ])
+    def test_non_finite_parameters_rejected(self, build, value):
+        with pytest.raises(DomainError, match="finite"):
+            build(value)

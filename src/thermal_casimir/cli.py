@@ -257,8 +257,8 @@ def cmd_optics_convert(args):
         raise DomainError("optics-convert needs --table-file or --preset Si-static")
     if args.points < 1:
         raise DomainError("frequency grid needs at least one point")
-    if not (0.0 < args.xi_min_ev <= args.xi_max_ev):
-        raise DomainError("need 0 < xi-min-ev <= xi-max-ev")
+    if not (0.0 < args.xi_min_ev <= args.xi_max_ev < np.inf):
+        raise DomainError("need 0 < xi-min-ev <= xi-max-ev, both finite")
     xi = np.geomspace(
         ev_to_angular_frequency(args.xi_min_ev), ev_to_angular_frequency(args.xi_max_ev),
         args.points,

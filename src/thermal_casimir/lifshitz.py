@@ -24,10 +24,12 @@ The sum over l has one path at every temperature:
 
 L starts at ``_EXACT_TERMS`` and doubles until the last Gregory correction
 fits its share of the tolerance (finer panels cannot shrink it), for as long
-as the integral needs fewer term evaluations than the terms it replaces.
-Otherwise every term up to y_max is summed exactly and the integral is
-empty; that is always so at high temperature or large separation, where few
-terms reach y_max.
+as the integral needs fewer term evaluations than the terms it replaces;
+otherwise every term up to y_max is summed exactly and the integral is empty,
+as always at high temperature or large separation.  The integral at an L is
+taken only if the correction fits that share of a provable bound on |sum|,
+the terms so far plus the majorant tail of the rest, so none is computed
+that the check against its own sum is sure to reject.
 
 The relative error estimate has three parts: quadrature (Kronrod minus
 Gauss, on the terms and on the integral), summation (the last Gregory
@@ -142,10 +144,10 @@ _Rule = namedtuple("_Rule", "l0_nodes l0_weights lk_nodes lk_weights")
 
 
 @lru_cache(maxsize=None)
-def _rule(level, l0_edges, lk_edges):
-    """Cached rule on the given edge sets, every panel split ``level - 1`` times."""
+def _rule(level):
+    """Cached rule on L0_EDGES and _LK_EDGES, every panel split ``level - 1`` times."""
     parts = []
-    for edges in (l0_edges, lk_edges):
+    for edges in (L0_EDGES, _LK_EDGES):
         for _ in range(level - 1):
             edges = split_edges(edges)
         nodes, kronrod, gauss = kronrod_rule(edges)
@@ -256,7 +258,7 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
     number of terms evaluated (exact terms plus integral nodes) and the
     share of F from l = 0.  The P sums are zero unless ``want_pressure``.
     """
-    rule = _rule(level, L0_EDGES, _LK_EDGES)
+    rule = _rule(level)
     y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
     quantities = slice(0, 2 if want_pressure else 1)
 
@@ -267,9 +269,9 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
     def terms(indices):
         return _terms(z, temperature, model, indices, y_step, rule, want_pressure)
 
-    def fits(summation, sums):
+    def fits(summation, scale):
         # finer panels cannot shrink the Gregory remainder, so it gets a fixed share
-        return np.all(summation <= _SUM_SHARE * tolerance * np.abs(sums[:, 0]))
+        return np.all(summation <= _SUM_SHARE * tolerance * scale)
 
     def finish(sums, outer_error, summation, truncated_from, count):
         scale = np.maximum(np.abs(sums[:, 0]), 1e-300)
@@ -284,7 +286,6 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
         # the l = 0 term alone may already put the cut below the first Gregory terms
         head_end = min(head_end, math.ceil(cut_from(zero) / y_step))
     head = terms(np.arange(1, head_end))
-    reference = None  # sums of the first integral: the scale of later Gregory checks
     while True:
         partial = zero + head.sum(axis=2)
         if not partial[0, 0]:
@@ -299,15 +300,15 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
             break
         gregory = head[:, :, exact - 1 :]
         summation = np.abs(gregory[:, 0] @ _GREGORY_LAST)
-        if reference is None or fits(summation, reference):
+        # |sum| <= |partial| + the majorant of the terms past the head, per quantity
+        if fits(summation, np.abs(partial[:, 0]) + _majorant_tail(head_end * y_step, y_step)):
             nodes, kronrod, gauss = kronrod_rule(edges)
             values = terms(nodes / y_step)
             sums = (zero + head[:, :, : exact - 1].sum(axis=2) + gregory @ _GREGORY_WEIGHTS
                     + values @ kronrod / y_step)
-            if fits(summation, sums):
+            if fits(summation, np.abs(sums[:, 0])):
                 outer_error = np.abs(values[:, 0] @ (kronrod - gauss)) / y_step
                 return finish(sums, outer_error, summation, y_max, head_end + nodes.size)
-            reference = sums
         exact *= 2
         grown = min(exact + len(_GREGORY), end)
         head = np.concatenate((head, terms(np.arange(head_end, grown))), axis=2)
@@ -329,7 +330,16 @@ def _evaluate(z, temperature, model, config, l0_model, want_pressure):
         if estimate <= tol:
             break
     sum_f, sum_p = (float(value) for value in sums[:, 0])
-    return sum_f, sum_p, count, estimate, float(share), estimate <= tol
+    return sum_f, sum_p, count, estimate, float(share)
+
+
+def _converged(value, estimate, config):
+    """``value`` if ``estimate`` meets the tolerance, else ConvergenceError carrying it."""
+    if not estimate <= config.rel_tolerance:
+        raise ConvergenceError(f"quadrature did not reach tolerance {config.rel_tolerance:g} "
+                               f"(achieved {estimate:g})", best_estimate=value,
+                               achieved_tolerance=estimate)
+    return value
 
 
 def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):
@@ -365,7 +375,7 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
     if zero_frequency_model is not None and zero_frequency_model is not model:
         provenance = f"mixed[xi>0:{model.tag},l0:{l0_model.tag}]"
 
-    sum_f, sum_p, n_terms, estimate, share, converged = _evaluate(
+    sum_f, sum_p, n_terms, estimate, share = _evaluate(
         z, temperature, model, config, l0_model, want_pressure=True
     )
     prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
@@ -380,29 +390,15 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
         zero_frequency_share=share,
         provenance=provenance,
     )
-    if not converged:
-        raise ConvergenceError(
-            f"quadrature did not reach tolerance {config.rel_tolerance:g} "
-            f"(achieved {estimate:g})",
-            best_estimate=result,
-            achieved_tolerance=estimate,
-        )
-    return result
+    return _converged(result, estimate, config)
 
 
 def _free_energy_value(z, temperature, model, config=DEFAULT_CONFIG):
     """Free energy per unit area only; skips the pressure integrand."""
-    sum_f, _, _, estimate, _, converged = _evaluate(
-        z, temperature, model, config, model, want_pressure=False
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"quadrature did not reach tolerance {config.rel_tolerance:g} "
-            f"(achieved {estimate:g})",
-            best_estimate=CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2) * sum_f,
-            achieved_tolerance=estimate,
-        )
-    return CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2) * sum_f
+    sum_f, _, _, estimate, _ = _evaluate(z, temperature, model, config, model,
+                                         want_pressure=False)
+    return _converged(CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2) * sum_f, estimate,
+                      config)
 
 
 def pressure(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):

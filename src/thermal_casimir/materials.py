@@ -27,8 +27,6 @@ from .reflection import ReflectionPair, fresnel_q, impedance_q
 # and perfbench/tests look them up
 from .reflection import fresnel_reflection, impedance_reflection  # noqa: F401
 
-_ZERO_XI_MESSAGE = "zero-frequency term must use the prescription rule, not eps(i*xi)"
-
 #: Relative tolerance of the dispersion integral behind eps_from_table, and the
 #: panel splits allowed to reach it.
 _DISPERSION_REL_TOL = 1e-6
@@ -55,8 +53,8 @@ def matsubara_frequency(index, temperature, constants=CONSTANTS):
         raise DomainError("Matsubara index must be an integer")
     if np.any(index < 0):
         raise DomainError("Matsubara index must be nonnegative")
-    if temperature <= 0.0:
-        raise DomainError("temperature must be positive")
+    if not 0.0 < temperature < math.inf:
+        raise DomainError("temperature must be positive and finite")
     value = 2.0 * np.pi * constants.k_B * temperature / constants.hbar * index
     return value if value.ndim else float(value)
 
@@ -110,6 +108,8 @@ class TabulatedGamma:
         g = np.asarray(self.gammas, dtype=float)
         if t.size < 2 or t.size != g.size:
             raise DomainError("gamma table needs matching T and gamma columns, two rows minimum")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
+            raise DomainError("gamma table values must be finite")
         if np.any(t < 0.0) or np.any(np.diff(t) <= 0.0):
             raise DomainError("gamma table temperatures must be nonnegative and strictly increasing")
         if np.any(g < 0.0):
@@ -157,8 +157,9 @@ class DrudeParameters:
         if self.gamma_of_T is None:
             return self.gamma
         value = self.gamma_of_T(temperature)
-        if np.any(np.asarray(value) < 0.0):
-            raise DomainError("gamma_of_T returned a negative relaxation parameter")
+        gamma = np.asarray(value)
+        if not np.all((0.0 <= gamma) & (gamma < math.inf)):
+            raise DomainError("gamma_of_T must return a nonnegative, finite relaxation parameter")
         return value
 
 
@@ -167,11 +168,19 @@ class DrudeParameters:
 # ---------------------------------------------------------------------------
 
 
-def eps_drude(xi, parameters, temperature=None):
-    """Drude permittivity 1 + omega_p^2 / (xi (xi + gamma(T))) at i*xi."""
+def _imaginary_frequency(xi):
+    """``xi`` as a float array; rejects xi <= 0, which has its own rule, and nan/inf."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= 0.0):
-        raise DomainError(_ZERO_XI_MESSAGE)
+        raise DomainError("zero-frequency term must use the prescription rule, not eps(i*xi)")
+    if not np.all(xi < math.inf):
+        raise DomainError("imaginary frequency must be finite")
+    return xi
+
+
+def eps_drude(xi, parameters, temperature=None):
+    """Drude permittivity 1 + omega_p^2 / (xi (xi + gamma(T))) at i*xi."""
+    xi = _imaginary_frequency(xi)
     gamma = parameters.relaxation(temperature)
     value = 1.0 + parameters.omega_p**2 / (xi * (xi + gamma))
     return value if value.ndim else float(value)
@@ -179,23 +188,19 @@ def eps_drude(xi, parameters, temperature=None):
 
 def eps_plasma(xi, omega_p):
     """Plasma permittivity 1 + omega_p^2 / xi^2 at i*xi."""
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0.0):
-        raise DomainError(_ZERO_XI_MESSAGE)
-    if omega_p <= 0.0:
-        raise DomainError("plasma frequency must be positive")
+    xi = _imaginary_frequency(xi)
+    if not 0.0 < omega_p < math.inf:
+        raise DomainError("plasma frequency must be positive and finite")
     value = 1.0 + (omega_p / xi) ** 2
     return value if value.ndim else float(value)
 
 
 def impedance_from_eps(xi, eps):
     """Leontovich impedance 1/sqrt(eps) where both descriptions overlap."""
-    xi = np.asarray(xi, dtype=float)
+    _imaginary_frequency(xi)
     eps = np.asarray(eps, dtype=float)
-    if np.any(xi <= 0.0):
-        raise DomainError("impedance requires xi > 0")
-    if np.any(eps < 1.0):
-        raise DomainError("impedance conversion requires eps >= 1")
+    if not np.all((1.0 <= eps) & (eps < math.inf)):
+        raise DomainError("impedance conversion requires finite eps >= 1")
     value = 1.0 / np.sqrt(eps)
     return value if value.ndim else float(value)
 
@@ -357,9 +362,7 @@ def eps_from_table(xi, table):
         If the dispersion integral misses its tolerance after four splits;
         carries the best estimate of eps(i*xi) and the tolerance achieved.
     """
-    xi_in = np.asarray(xi, dtype=float)
-    if np.any(xi_in <= 0.0):
-        raise DomainError(_ZERO_XI_MESSAGE)
+    xi_in = _imaginary_frequency(xi)
     xi_arr = np.ravel(xi_in).astype(float)
 
     grid_part, achieved = _grid_dispersion_integral(xi_arr, table)
@@ -549,9 +552,7 @@ class InfraredOpticsImpedance(MaterialResponse):
             raise DomainError("plasma frequency must be positive and finite")
 
     def impedance(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0.0):
-            raise DomainError(_ZERO_XI_MESSAGE)
+        xi = _imaginary_frequency(xi)
         value = xi / np.sqrt(xi**2 + self.omega_p**2)
         return value if value.ndim else float(value)
 
@@ -583,9 +584,7 @@ class SkinEffectImpedance(MaterialResponse):
             raise DomainError("skin-effect impedance needs positive, finite omega_p and gamma")
 
     def impedance(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0.0):
-            raise DomainError(_ZERO_XI_MESSAGE)
+        xi = _imaginary_frequency(xi)
         value = np.sqrt(xi * self.gamma) / self.omega_p
         return value if value.ndim else float(value)
 

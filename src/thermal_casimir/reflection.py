@@ -43,12 +43,12 @@ def fresnel_reflection(xi, k_perp, eps, constants=CONSTANTS):
     xi = np.asarray(xi, dtype=float)
     k_perp = np.asarray(k_perp, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    if np.any(xi <= 0.0):
-        raise DomainError("fresnel_reflection requires xi > 0")
-    if np.any(k_perp < 0.0):
-        raise DomainError("fresnel_reflection requires k_perp >= 0")
-    if np.any(eps < 1.0):
-        raise DomainError("fresnel_reflection requires eps >= 1")
+    if not np.all((0.0 < xi) & (xi < np.inf)):
+        raise DomainError("fresnel_reflection requires finite xi > 0")
+    if not np.all((0.0 <= k_perp) & (k_perp < np.inf)):
+        raise DomainError("fresnel_reflection requires finite k_perp >= 0")
+    if not np.all((1.0 <= eps) & (eps < np.inf)):
+        raise DomainError("fresnel_reflection requires finite eps >= 1")
     return fresnel_q(xi, np.sqrt(k_perp**2 + (xi / constants.c) ** 2), eps, constants)
 
 
@@ -72,10 +72,13 @@ def impedance_reflection(xi, k_perp, impedance, constants=CONSTANTS):
     """
     xi = np.asarray(xi, dtype=float)
     k_perp = np.asarray(k_perp, dtype=float)
-    if np.any(xi <= 0.0):
-        raise DomainError("impedance_reflection requires xi > 0")
-    if np.any(k_perp < 0.0):
-        raise DomainError("impedance_reflection requires k_perp >= 0")
+    impedance = np.asarray(impedance, dtype=float)
+    if not np.all((0.0 < xi) & (xi < np.inf)):
+        raise DomainError("impedance_reflection requires finite xi > 0")
+    if not np.all((0.0 <= k_perp) & (k_perp < np.inf)):
+        raise DomainError("impedance_reflection requires finite k_perp >= 0")
+    if not np.all((0.0 < impedance) & (impedance <= 1.0)):
+        raise DomainError("surface impedance must lie in (0, 1]")
     return impedance_q(xi, np.sqrt(k_perp**2 + (xi / constants.c) ** 2), impedance, constants)
 
 
@@ -108,6 +111,6 @@ def zero_frequency_reflection(model, k_perp):
         In-plane wavevector, 1/m, strictly positive.
     """
     k_perp = np.asarray(k_perp, dtype=float)
-    if np.any(k_perp <= 0.0):
-        raise DomainError("zero_frequency_reflection requires k_perp > 0")
+    if not np.all((0.0 < k_perp) & (k_perp < np.inf)):
+        raise DomainError("zero_frequency_reflection requires finite k_perp > 0")
     return model.zero_frequency_reflection(k_perp)

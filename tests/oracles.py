@@ -214,7 +214,7 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
     """
     from thermal_casimir import lifshitz as engine
 
-    rule = engine._rule(level, engine.L0_EDGES, engine._LK_EDGES)
+    rule = engine._rule(level)
     y_step = 4.0 * np.pi * sc.k * temperature * z / (sc.hbar * sc.c)
     zero_f, zero_p = engine._zero_term(z, model, rule, True)
     terms_f, terms_p = [zero_f[:1]], [zero_p[:1]]

@@ -126,6 +126,8 @@ class TestPressureCommand:
     ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--temperature", "inf"),
     ("entropy", "--z-um", "nan", "--model", "plasma"),
     ("pft", "--kind", "cylinder", "--z-um", "nan", "--R-um", "100"),
+    ("optics-convert", "--preset", "Si-static", "--xi-min-ev", "1e-3", "--xi-max-ev", "inf",
+     "--points", "3"),
 ])
 def test_non_finite_separation_or_temperature_exits_two(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

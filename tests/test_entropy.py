@@ -119,6 +119,22 @@ class TestEntropyFiniteDifferences:
         value = tc.entropy(1e-6, 1.0, model)
         assert value == pytest.approx(tc.drude_zero_T_entropy(1e-6, au_omega_p), rel=0.02)
 
+    def test_perfect_lattice_drude_gap_to_zero_temperature_grows_as_t_squared(
+            self, au_parameters, au_omega_p):
+        # the whole engine + entropy path against the closed-form S(z, 0), itself
+        # checked against a 30-digit oracle: gamma ~ T^5 leaves a gap of order T^2
+        model = tc.Drude(
+            tc.DrudeParameters(
+                au_parameters.omega_p, au_parameters.gamma,
+                tc.PowerLawGamma(au_parameters.gamma, 300.0),
+            )
+        )
+        s_zero = tc.drude_zero_T_entropy(1e-6, au_omega_p)
+        gaps = [abs(tc.entropy(1e-6, t, model) / s_zero - 1.0) for t in (1.0, 2.0, 3.0)]
+        assert gaps[0] < 1e-5
+        assert gaps[1] / gaps[0] == pytest.approx(4.0, rel=0.02)
+        assert gaps[2] / gaps[0] == pytest.approx(9.0, rel=0.02)
+
     def test_step_must_stay_positive(self, plasma_au):
         with pytest.raises(DomainError):
             tc.entropy(1e-6, 0.4, plasma_au)

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -189,6 +190,8 @@ class TestTruncationAndErrors:
         # two order-2 panels cannot resolve the l = 0 term at any refinement level
         monkeypatch.setattr(engine, "L0_EDGES", (0.0, 20.0, 40.0))
         monkeypatch.setattr(engine, "_LK_EDGES", (0.0, 20.0, 40.0))
+        # an uncached rule reads the patched edges and leaves the shared cache clean
+        monkeypatch.setattr(engine, "_rule", engine._rule.__wrapped__)
         config = tc.EvaluationConfig(rel_tolerance=1e-7)
         with pytest.raises(ConvergenceError) as excinfo:
             tc.free_energy(5e-6, 300.0, ideal_metal, config)
@@ -295,6 +298,25 @@ class TestGregoryTail:
         assert abs(values @ engine._GREGORY_WEIGHTS - exact) <= last
         assert last <= decay ** 7
 
+    @pytest.mark.parametrize("temperature", [15.0, 20.0, 30.0])
+    @pytest.mark.parametrize("tag", ["ideal", "drude", "plasma"])
+    def test_one_tail_integral_per_call(self, monkeypatch, tag, temperature):
+        # the first Gregory correction exceeds its share even of the bound on
+        # |sum|, so no integral is taken for it; the only one taken is the one kept
+        integrals = [0]
+        terms = engine._terms
+
+        def counting(z, temperature, model, indices, *args):
+            integrals[0] += bool(np.any(indices != np.round(indices)))
+            return terms(z, temperature, model, indices, *args)
+
+        monkeypatch.setattr(engine, "_terms", counting)
+        config = tc.EvaluationConfig(rel_tolerance=1e-9)
+        for evaluate in (tc.free_energy, engine._free_energy_value):
+            integrals[0] = 0
+            evaluate(1e-6, temperature, _model(tag), config)
+            assert integrals[0] == 1, evaluate.__name__
+
 
 class TestEmbeddedPair:
     @pytest.mark.parametrize("z, temperature", [(0.1e-6, 300.0), (1e-6, 300.0), (1e-6, 10.0)])
@@ -368,6 +390,28 @@ class TestDirectSum:
     def test_accuracy_grid(self, tag, z, temperature):
         for tolerance in (1e-5, 1e-7, 1e-9, 1e-10, 1e-11):
             _assert_matches_direct_sum(tag, z, temperature, tolerance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from(_TAGS), log_z=st.floats(-7.5, -5.0),
+       log_y_step=st.floats(math.log10(0.05), math.log10(5.0)), head=st.floats(0.0, 30.0))
+def test_partial_sum_plus_majorant_bounds_the_sum(tag, log_z, log_y_step, head):
+    # the bound behind the tail-integral gate: every F term is <= 0 and every P
+    # term >= 0, so |sum| <= |sum over l < L| + the majorant of the terms l >= L;
+    # L y_step stays below 31, where the majorant is still above rounding, and
+    # the slack covers rounding of sums of like-signed terms
+    z, y_step = 10.0**log_z, 10.0**log_y_step
+    exact = 1 + int(head / y_step)
+    temperature = y_step * CONSTANTS.hbar * CONSTANTS.c / (4.0 * np.pi * CONSTANTS.k_B * z)
+    model, rule = _model(tag), engine._rule(2)
+    partial = (np.stack(engine._zero_term(z, model, rule, True))[:, 0]
+               + engine._terms(z, temperature, model, np.arange(1, exact), y_step, rule,
+                               True)[:, 0].sum(axis=1))
+    bound = np.abs(partial) + engine._majorant_tail(exact * y_step, y_step)
+    direct_f, direct_p = matsubara_sum_direct(z, temperature, model, level=2)
+    prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
+    assert abs(direct_f / prefactor) <= bound[0] * (1.0 + 1e-12)
+    assert abs(direct_p * z / prefactor) <= bound[1] * (1.0 + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)

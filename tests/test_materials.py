@@ -121,6 +121,21 @@ class TestGammaMaps:
         lambda v: tc.DrudeTail(v, 1e13),
         lambda v: tc.DrudeTail(1e16, v),
         lambda v: tc.ConstantEpsilon(v),
+        lambda v: tc.matsubara_frequency(1, v),
+        lambda v: tc.eps_drude(v, tc.DrudeParameters(1e16, 1e13)),
+        lambda v: tc.eps_plasma(v, 1e16),
+        lambda v: tc.eps_plasma(1e15, v),
+        lambda v: tc.impedance_from_eps(v, 2.0),
+        lambda v: tc.impedance_from_eps(1e15, v),
+        lambda v: tc.eps_from_table(v, si_static_table()),
+        lambda v: tc.InfraredOpticsImpedance(1e16).impedance(v),
+        lambda v: tc.SkinEffectImpedance(1e16, 1e13).impedance(v),
+        lambda v: tc.TabulatedGamma((1.0, v), (1e11, 1e12)),
+        lambda v: tc.TabulatedGamma((1.0, 2.0), (1e11, v)),
+        lambda v: tc.DrudeParameters(1e16, 1e13, lambda t: v).relaxation(10.0),
+        # before, the nan relaxation surfaced as ConvergenceError "(achieved nan)"
+        lambda v: tc.free_energy(1e-6, 10.0, tc.Drude(tc.DrudeParameters(1e16, 1e13,
+                                                                         lambda t: v))),
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, build, value):

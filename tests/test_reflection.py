@@ -75,6 +75,20 @@ class TestImpedanceReflection:
             assert abs(exact.r_te - approx.r_te) < 0.1 * impedance**2
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda v: tc.fresnel_reflection(v, 1e6, 2.0),
+    lambda v: tc.fresnel_reflection(1e15, v, 2.0),
+    lambda v: tc.fresnel_reflection(1e15, 1e6, v),
+    lambda v: tc.impedance_reflection(v, 1e6, 0.1),
+    lambda v: tc.impedance_reflection(1e15, v, 0.1),
+    lambda v: tc.impedance_reflection(1e15, 1e6, v),
+    lambda v: tc.zero_frequency_reflection(tc.IdealMetal(), v),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_inputs_rejected(evaluate, value):
+    with pytest.raises(DomainError):
+        evaluate(value)
+
 class TestAmplitudeBounds:
     def _models(self, au_omega_p, au_gamma, table):
         return (

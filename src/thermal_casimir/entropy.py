@@ -10,6 +10,7 @@ theorem, with an inconclusive band in between.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,16 +49,14 @@ def entropy(z, temperature, model, config=None, *, rel_change=1e-3, max_refineme
             full_output=False):
     """Entropy per unit area S(z, T) = -dF/dT in J/(K m^2).
 
-    Central differences with step h = max(T/50, 0.5 K), Richardson-refined
-    until the estimate changes by less than ``rel_change``.  When refinement
-    fails to settle, the best value is still returned and flagged through
-    ``full_output``.
+    Central differences with step h = T/50 below 1 K and max(T/50, 0.5 K)
+    from 1 K up, Richardson-refined until the estimate changes by less than
+    ``rel_change``.  When refinement fails to settle, the best value is still
+    returned and flagged through ``full_output``.
     """
-    if z <= 0.0 or temperature <= 0.0:
-        raise DomainError("separation and temperature must be positive")
-    h = max(temperature / 50.0, 0.5)
-    if temperature - h <= 0.0:
-        raise DomainError("temperature too low for the finite-difference step")
+    if not (0.0 < z < np.inf and 0.0 < temperature < np.inf):
+        raise DomainError("separation and temperature must be positive and finite")
+    h = temperature / 50.0 if temperature < 1.0 else max(temperature / 50.0, 0.5)
     cfg = config if config is not None else _ENTROPY_CONFIG
 
     def derivative(step):
@@ -220,7 +219,8 @@ def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=2
         "residual" (floor at ``residual_fraction`` of the reference value) or
         an explicit map T -> gamma.  Ignored for non-Drude models.
     t_max, t_min, points : float, float, int
-        Log-spaced descending grid, defaults 300 K down to 1 K, 25 points.
+        Log-spaced descending grid, defaults 300 K down to 1 K, 25 points;
+        t_min may lie in the milli-Kelvin range (e.g. 1e-3).
 
     Returns
     -------
@@ -229,10 +229,12 @@ def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=2
         violation needs |S(z, 0+)| above five times the extrapolation
         uncertainty, a pass needs it below one uncertainty.
     """
-    if z <= 0.0:
-        raise DomainError("separation must be positive")
-    if not (0.0 < t_min < t_max) or points < 5:
-        raise DomainError("need 0 < t_min < t_max and at least 5 grid points")
+    if not 0.0 < z < np.inf:
+        raise DomainError("separation must be positive and finite")
+    if not (0.0 < t_min < t_max < np.inf and isinstance(points, numbers.Integral)
+            and points >= 5):
+        raise DomainError("need finite 0 < t_min < t_max and an integer of at least 5 "
+                          "grid points")
     scan_model = _resolve_gamma_map(model, gamma_map, residual_fraction)
     temperatures = np.geomspace(t_max, t_min, points)
     estimates = [

@@ -73,8 +73,10 @@ _EXACT_TERMS = 16
 _GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192,
             -33953 / 3628800)
 # Panel edges of the tail integral in eta past the geometric grading, which
-# doubles the panel width from L * y_step up to the first edge here.
-_ETA_EDGES = (1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0, 50.0, 60.0)
+# doubles the panel width from L * y_step up to the first edge here.  Sized so
+# that low-temperature calls stay at level 1; doubling all the way to 64 is too
+# coarse for a direct-sum check at tol 1e-9.
+_ETA_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 # Share of the tolerance allowed for the cut at y_max and for the last
 # Gregory correction.
 _SUM_SHARE = 1e-2
@@ -159,22 +161,18 @@ def _accumulate(pair, y, decay, want_pressure):
     """Sum of both polarization integrands at the given nodes.
 
     Returns the free-energy integrand values and (optionally) the pressure
-    integrand values, without the y / y^2 measure factors.  A polarization
-    with r^2 e^-y < 0.5 at every node skips the log branch kept for r^2 -> 1.
+    integrand values, without the y / y^2 measure factors.  The free-energy
+    integrand is log1p(-x), x = r^2 e^-y, at every node: 1 - x >= 1 - e^-y,
+    so rounding x costs at most about eps (1 + y) absolute in y ln(1 - x).
     """
-    f_val, p_val, one_minus_decay = 0.0, 0.0, None
+    f_val, p_val = 0.0, 0.0
+    one_minus_decay = -np.expm1(-y) if want_pressure else None
     for r in pair:
         r2 = np.asarray(r, dtype=float) ** 2
         x = r2 * decay
-        one_branch = x.max() < 0.5
-        if want_pressure or not one_branch:
-            if one_minus_decay is None:
-                one_minus_decay = -np.expm1(-y)
-            denom = one_minus_decay + (1.0 - r2) * decay
-        f_val = f_val + (np.log1p(-x) if one_branch
-                         else np.where(x < 0.5, np.log1p(-x), np.log(denom)))
+        f_val = f_val + np.log1p(-x)
         if want_pressure:
-            p_val = p_val + x / denom
+            p_val = p_val + x / (one_minus_decay + (1.0 - r2) * decay)
     return f_val, p_val if want_pressure else None
 
 

@@ -133,6 +133,21 @@ def drude_zero_entropy_mp(z, omega_p):
 
 
 # ---------------------------------------------------------------------------
+# 40-digit single-node integrands
+# ---------------------------------------------------------------------------
+
+
+def integrands_mp(r2, y):
+    """y ln(1 - r2 e^-y) and r2 e^-y / (1 - r2 e^-y) at 40 digits, as mpf.
+
+    ``r2`` and ``y`` are taken as the exact values of the given floats.
+    """
+    with mp.workdps(40):
+        x = mp.mpf(r2) * mp.exp(-mp.mpf(y))
+        return mp.mpf(y) * mp.log(1 - x), x / (1 - x)
+
+
+# ---------------------------------------------------------------------------
 # finite-difference pressure oracle
 # ---------------------------------------------------------------------------
 

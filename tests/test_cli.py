@@ -128,6 +128,8 @@ class TestPressureCommand:
     ("pft", "--kind", "cylinder", "--z-um", "nan", "--R-um", "100"),
     ("optics-convert", "--preset", "Si-static", "--xi-min-ev", "1e-3", "--xi-max-ev", "inf",
      "--points", "3"),
+    ("entropy", "--z-um", "1", "--model", "plasma", "--t-max", "inf"),
+    ("entropy", "--z-um", "1", "--model", "plasma", "--t-min", "nan"),
 ])
 def test_non_finite_separation_or_temperature_exits_two(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -135,9 +135,29 @@ class TestEntropyFiniteDifferences:
         assert gaps[1] / gaps[0] == pytest.approx(4.0, rel=0.02)
         assert gaps[2] / gaps[0] == pytest.approx(9.0, rel=0.02)
 
-    def test_step_must_stay_positive(self, plasma_au):
-        with pytest.raises(DomainError):
-            tc.entropy(1e-6, 0.4, plasma_au)
+    def test_sub_kelvin_step_is_relative(self, plasma_au):
+        # below 1 K the step is T/50, so 0.4 K computes instead of stepping past T = 0
+        estimate = tc.entropy(1e-6, 0.4, plasma_au, full_output=True)
+        assert estimate.converged
+        assert abs(estimate.value) < 1e-3 * abs(tc.entropy_large_z_limit(1e-6))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_temperature_must_be_positive_and_finite(self, plasma_au, bad):
+        with pytest.raises(DomainError, match="finite"):
+            tc.entropy(1e-6, bad, plasma_au)
+
+    @pytest.mark.parametrize("temperature", [0.1, 0.01])
+    def test_perfect_lattice_drude_reaches_zero_temperature_entropy_below_one_kelvin(
+            self, au_parameters, au_omega_p, temperature):
+        # the whole engine + sub-kelvin entropy path against the closed-form S(z, 0)
+        model = tc.Drude(
+            tc.DrudeParameters(
+                au_parameters.omega_p, au_parameters.gamma,
+                tc.PowerLawGamma(au_parameters.gamma, 300.0),
+            )
+        )
+        assert tc.entropy(1e-6, temperature, model) == pytest.approx(
+            tc.drude_zero_T_entropy(1e-6, au_omega_p), rel=1e-6)
 
     def test_full_output_reports_convergence(self, plasma_au):
         estimate = tc.entropy(1e-6, 10.0, plasma_au, full_output=True)
@@ -198,6 +218,34 @@ class TestNernstVerdict:
             tc.nernst_verdict(plasma_au, 1e-6, t_max=1.0, t_min=10.0)
         with pytest.raises(DomainError):
             tc.nernst_verdict(plasma_au, 1e-6, points=3)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="finite"):
+                tc.nernst_verdict(plasma_au, 1e-6, t_max=bad)
+            with pytest.raises(DomainError, match="finite"):
+                tc.nernst_verdict(plasma_au, 1e-6, t_min=bad)
+            with pytest.raises(DomainError, match="finite"):
+                tc.nernst_verdict(plasma_au, bad)
+        for points in (5.5, 25.0, "25", None):
+            with pytest.raises(DomainError, match="integer"):
+                tc.nernst_verdict(plasma_au, 1e-6, points=points)
+
+    def test_perfect_lattice_scan_runs_every_sum_at_level_one(self, drude_au, monkeypatch):
+        # the tail-integral ladder is sized for level 1 on this scan; an
+        # escalation would silently double the cost of that call
+        from thermal_casimir import lifshitz
+
+        levels = []
+        matsubara_sum = lifshitz._matsubara_sum
+
+        def recording(*args):
+            levels.append(args[5])
+            return matsubara_sum(*args)
+
+        monkeypatch.setattr(lifshitz, "_matsubara_sum", recording)
+        scan = tc.nernst_verdict(drude_au, 1e-6, "perfect-lattice",
+                                 config=tc.EvaluationConfig(rel_tolerance=1e-9), points=25)
+        assert scan.all_converged
+        assert levels and set(levels) == {1}
 
     def test_coarse_grid_on_a_vanishing_entropy_is_inconclusive(self, plasma_au):
         # A sparse grid leaves the cold-end extrapolation genuinely

@@ -14,7 +14,8 @@ from thermal_casimir.constants import CONSTANTS
 from thermal_casimir.errors import ConvergenceError, DomainError
 from thermal_casimir.reflection import ReflectionPair
 
-from oracles import finite_difference_pressure, lifshitz_sum_quad, matsubara_sum_direct
+from oracles import (finite_difference_pressure, integrands_mp, lifshitz_sum_quad,
+                     matsubara_sum_direct)
 
 
 class VacuumModel(tc.MaterialResponse):
@@ -137,6 +138,28 @@ def test_concurrent_evaluation_is_bitwise_serial(ideal_metal, drude_au):
         sys.setswitchinterval(interval)
     serial = [tc.free_energy(z, 300.0, model) for z, model in jobs]
     assert threaded == serial
+
+
+class TestIntegrand:
+    @pytest.mark.parametrize("r2", [1.0, 1 - 1e-15, 1 - 1e-12, 1 - 1e-9, 0.5, 1e-9])
+    def test_one_branch_logarithm_matches_40_digit_oracle(self, r2):
+        # log1p(-x) at every node: 1 - x >= 1 - e^-y, so rounding x costs at
+        # most about eps (1 + y) absolute in y ln(1 - x), even as r^2 -> 1;
+        # where x <= 1/2 the error is also a few eps relative, as weak
+        # reflectors need (log(1 - x) fails this)
+        eps = np.finfo(float).eps
+        y = np.geomspace(1e-9, 40.0, 241)
+        r = np.full_like(y, math.sqrt(r2))
+        f_val, p_val = engine._accumulate((r,), y, np.exp(-y), True)
+        f_only, no_pressure = engine._accumulate((r,), y, np.exp(-y), False)
+        assert no_pressure is None
+        assert np.array_equal(f_only, f_val)
+        for y_i, r_i, f_i, p_i in zip(y, r, y * f_val, p_val):
+            exact_f, exact_p = integrands_mp(r_i * r_i, y_i)
+            assert abs(f_i - exact_f) <= 2.0 * eps * (1.0 + y_i), y_i
+            if r_i * r_i * math.exp(-y_i) <= 0.5:
+                assert abs(f_i - exact_f) <= 4.0 * eps * abs(exact_f), y_i
+            assert abs(p_i - exact_p) <= 4.0 * eps * exact_p, y_i
 
 
 class TestPressure:

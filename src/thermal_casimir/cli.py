@@ -70,15 +70,23 @@ def _resolve_model(args):
     )
 
 
-def _model_config(args):
-    return {
-        "model": "table" if args.table_file is not None else args.model,
-        "preset": args.preset,
-        "table_file": args.table_file or "",
-        "extrapolation": args.extrapolation or "",
-        "omega_p_ev": args.omega_p_ev,
-        "gamma_ev": args.gamma_ev,
+#: Options whose unset value is recorded as "" rather than null.
+_BLANK_WHEN_UNSET = ("table_file", "extrapolation", "gamma_map")
+
+
+def _run_config(args):
+    """The resolved configuration in a run's header: every parsed option but
+    the handler and the output format and destination."""
+    config = {
+        key: "" if value is None and key in _BLANK_WHEN_UNSET else value
+        for key, value in vars(args).items() if key not in ("handler", "fmt", "out")
     }
+    if "model" in config and args.table_file is not None:
+        config["model"] = "table"
+    if args.command == "yukawa":
+        for key in ("bound_file", "geometry_file"):
+            config[key] = Path(config[key]).name
+    return config
 
 
 def _z_grid(args):
@@ -88,6 +96,8 @@ def _z_grid(args):
         raise DomainError("need 0 < z-min-um <= z-max-um")
     if args.points == 1 and args.z_min_um != args.z_max_um:
         raise DomainError("a single-point grid needs z-min-um == z-max-um")
+    if not args.z_max_um < np.inf:
+        raise DomainError("z-max-um must be finite")
     return np.geomspace(args.z_min_um * 1e-6, args.z_max_um * 1e-6, args.points)
 
 
@@ -101,11 +111,11 @@ _LIFSHITZ_UNITS = {
 }
 
 
-def _run_lifshitz_table(args, include_pressure):
+def cmd_lifshitz_table(args):
     model = _resolve_model(args)
     config = EvaluationConfig(rel_tolerance=args.tol)
     grid = _z_grid(args)
-    results = [free_energy(float(z), args.temperature, model, config) for z in grid]
+    results = [free_energy(float(z), args.temperature_K, model, config) for z in grid]
     columns = ("z_m", "free_energy_J_per_m2", "pressure_Pa", "terms_used",
                "zero_frequency_share", "error_estimate")
     rows = [
@@ -113,36 +123,16 @@ def _run_lifshitz_table(args, include_pressure):
          r.zero_frequency_share, r.quadrature_error_estimate)
         for r in results
     ]
-    if not include_pressure:
+    if args.command == "free-energy":
         columns = columns[:2] + columns[3:]
         rows = [row[:2] + row[3:] for row in rows]
-    run_config = {
-        "command": "pressure" if include_pressure else "free-energy",
-        "z_min_um": args.z_min_um,
-        "z_max_um": args.z_max_um,
-        "points": args.points,
-        "temperature_K": args.temperature,
-        "tol": args.tol,
-        **_model_config(args),
-    }
-    return render_table(run_config["command"], run_config, columns, _LIFSHITZ_UNITS, rows, args.fmt)
+    return render_table(args.command, _run_config(args), columns, _LIFSHITZ_UNITS, rows, args.fmt)
 
 
-def cmd_pressure(args):
-    return _run_lifshitz_table(args, include_pressure=True)
-
-
-def cmd_free_energy(args):
-    return _run_lifshitz_table(args, include_pressure=False)
-
-
-def _parse_gamma_map(spec):
-    if spec is None:
-        return None, None
-    if spec == "perfect-lattice":
-        return "perfect-lattice", 0.0
-    if spec == "residual":
-        return "residual", 0.1
+def _gamma_map_arguments(spec):
+    """The nernst_verdict keyword arguments that a --gamma-map value selects."""
+    if spec in (None, "perfect-lattice", "residual"):
+        return {"gamma_map": spec}
     if spec.startswith("residual:"):
         try:
             fraction = float(spec.split(":", 1)[1])
@@ -150,9 +140,9 @@ def _parse_gamma_map(spec):
             raise FileFormatError(f"bad residual fraction in {spec!r}") from None
         if not (0.0 < fraction <= 1.0):
             raise DomainError("residual fraction must lie in (0, 1]")
-        return "residual", fraction
+        return {"gamma_map": "residual", "residual_fraction": fraction}
     if Path(spec).exists():
-        return load_gamma_map(spec), 0.0
+        return {"gamma_map": load_gamma_map(spec)}
     raise FileFormatError(
         f"gamma map {spec!r} is neither 'perfect-lattice', 'residual[:FRACTION]' "
         "nor an existing file"
@@ -161,24 +151,13 @@ def _parse_gamma_map(spec):
 
 def cmd_entropy(args):
     model = _resolve_model(args)
-    gamma_map, fraction = _parse_gamma_map(args.gamma_map)
+    gamma_map = _gamma_map_arguments(args.gamma_map)
     config = EvaluationConfig(rel_tolerance=args.tol)
     scan = nernst_verdict(
-        model, args.z_um * 1e-6, gamma_map,
-        t_max=args.t_max, t_min=args.t_min, points=args.points,
-        residual_fraction=fraction or 0.1, config=config,
+        model, args.z_um * 1e-6, **gamma_map,
+        t_max=args.t_max_K, t_min=args.t_min_K, points=args.points, config=config,
     )
-    run_config = {
-        "command": "entropy",
-        "z_um": args.z_um,
-        "t_max_K": args.t_max,
-        "t_min_K": args.t_min,
-        "points": args.points,
-        "gamma_map": args.gamma_map or "",
-        "tol": args.tol,
-        **_model_config(args),
-    }
-    return render_entropy_scan(scan, run_config, args.fmt)
+    return render_entropy_scan(scan, _run_config(args), args.fmt)
 
 
 _PFT_UNITS = {
@@ -207,15 +186,9 @@ def cmd_pft(args):
             "proximity-force result only, conservative |error| <= z/R"
         )
         row = (args.kind, case.z, case.radius, pft_value, None, None, flag)
-    run_config = {
-        "command": "pft",
-        "kind": args.kind,
-        "z_um": args.z_um,
-        "R_um": args.R_um,
-    }
     columns = ("kind", "z_m", "R_m", "pft_value", "exact_value",
                "rel_error_vs_pft", "validity_flag")
-    text = render_table("pft", run_config, columns, _PFT_UNITS, [row], args.fmt, notes)
+    text = render_table("pft", _run_config(args), columns, _PFT_UNITS, [row], args.fmt, notes)
     if notes:
         print(f"note: {notes[0]}", file=sys.stderr)
     return text
@@ -229,22 +202,15 @@ def cmd_yukawa(args):
     if not (0.0 < args.lambda_min_um <= args.lambda_max_um < np.inf):
         raise DomainError("need 0 < lambda-min-um <= lambda-max-um, both finite")
     lambdas = np.geomspace(args.lambda_min_um * 1e-6, args.lambda_max_um * 1e-6, args.points)
+    config = _run_config(args)
     curve = exclusion_bound(
         bound, geometry, lambdas,
-        provenance=f"bound={Path(args.bound_file).name} geometry={Path(args.geometry_file).name}",
+        provenance=f"bound={config['bound_file']} geometry={config['geometry_file']}",
     )
-    run_config = {
-        "command": "yukawa",
-        "bound_file": Path(args.bound_file).name,
-        "geometry_file": Path(args.geometry_file).name,
-        "lambda_min_um": args.lambda_min_um,
-        "lambda_max_um": args.lambda_max_um,
-        "points": args.points,
-    }
     columns = ("lambda_m", "alpha_max")
     units = {"lambda_m": "m", "alpha_max": "1"}
     rows = list(zip(curve.lambdas, curve.alpha_max))
-    return render_table("yukawa", run_config, columns, units, rows, args.fmt,
+    return render_table("yukawa", config, columns, units, rows, args.fmt,
                         notes=(curve.provenance,))
 
 
@@ -264,19 +230,10 @@ def cmd_optics_convert(args):
         args.points,
     )
     eps = np.atleast_1d(eps_from_table(xi, table))
-    run_config = {
-        "command": "optics-convert",
-        "table_file": args.table_file or "",
-        "preset": args.preset,
-        "extrapolation": args.extrapolation or "",
-        "xi_min_ev": args.xi_min_ev,
-        "xi_max_ev": args.xi_max_ev,
-        "points": args.points,
-    }
     columns = ("xi_rad_per_s", "xi_ev", "eps_i_xi")
     units = {"xi_rad_per_s": "rad/s", "xi_ev": "eV", "eps_i_xi": "1"}
     rows = [(x, angular_frequency_to_ev(x), e) for x, e in zip(xi, eps)]
-    return render_table("optics-convert", run_config, columns, units, rows, args.fmt,
+    return render_table("optics-convert", _run_config(args), columns, units, rows, args.fmt,
                         notes=(table.provenance,))
 
 
@@ -288,23 +245,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, help_text in (
-        ("pressure", cmd_pressure, "free energy and pressure over a separation grid"),
-        ("free-energy", cmd_free_energy, "free energy over a separation grid"),
+    for name, help_text in (
+        ("pressure", "free energy and pressure over a separation grid"),
+        ("free-energy", "free energy over a separation grid"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--z-min-um", type=float, required=True)
         p.add_argument("--z-max-um", type=float, required=True)
         p.add_argument("--points", type=int, required=True)
-        p.add_argument("--temperature", "-T", type=float, default=300.0)
+        p.add_argument("--temperature", "-T", dest="temperature_K", metavar="TEMPERATURE",
+                       type=float, default=300.0)
         _add_model_arguments(p)
         _add_output_arguments(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_lifshitz_table)
 
     p = sub.add_parser("entropy", help="entropy scan toward T = 0 with a Nernst verdict")
     p.add_argument("--z-um", type=float, required=True)
-    p.add_argument("--t-max", type=float, default=300.0)
-    p.add_argument("--t-min", type=float, default=1.0)
+    p.add_argument("--t-max", dest="t_max_K", metavar="T_MAX", type=float, default=300.0)
+    p.add_argument("--t-min", dest="t_min_K", metavar="T_MIN", type=float, default=1.0)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--gamma-map", default=None,
                    help="perfect-lattice, residual[:FRACTION] or a (T_K, gamma_eV) file")

@@ -47,11 +47,11 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-def ev_to_angular_frequency(energy_ev, constants=CONSTANTS):
+def ev_to_angular_frequency(energy_ev):
     """Convert a photon energy in eV to an angular frequency in rad/s."""
-    return energy_ev * constants.ev_to_rad_per_s
+    return energy_ev * CONSTANTS.ev_to_rad_per_s
 
 
-def angular_frequency_to_ev(omega, constants=CONSTANTS):
+def angular_frequency_to_ev(omega):
     """Convert an angular frequency in rad/s to a photon energy in eV."""
-    return omega / constants.ev_to_rad_per_s
+    return omega / CONSTANTS.ev_to_rad_per_s

@@ -30,7 +30,15 @@ _ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 VIOLATION_THRESHOLD = 5.0
 CLEARANCE_THRESHOLD = 1.0
 
-#: Panel splits of the zero-temperature entropy integral before giving up.
+#: Richardson refinement of the entropy difference quotient: it has settled when
+#: one halving of the step changes the estimate by less than
+#: ``_RICHARDSON_REL_CHANGE``, and stops unsettled after ``_MAX_REFINEMENTS``.
+_RICHARDSON_REL_CHANGE = 1e-3
+_MAX_REFINEMENTS = 4
+
+#: Relative tolerance of the zero-temperature entropy integral, and the panel
+#: splits allowed to reach it.
+_ZERO_T_REL_TOL = 1e-8
 _MAX_LEVELS = 6
 
 #: Cold-end fit variants: (polynomial degree, number of coldest grid points).
@@ -45,14 +53,14 @@ class EntropyEstimate(NamedTuple):
     refinements: int
 
 
-def entropy(z, temperature, model, config=None, *, rel_change=1e-3, max_refinements=4,
-            full_output=False):
+def entropy(z, temperature, model, config=None, *, full_output=False):
     """Entropy per unit area S(z, T) = -dF/dT in J/(K m^2).
 
     Central differences with step h = T/50 below 1 K and max(T/50, 0.5 K)
-    from 1 K up, Richardson-refined until the estimate changes by less than
-    ``rel_change``.  When refinement fails to settle, the best value is still
-    returned and flagged through ``full_output``.
+    from 1 K up, Richardson-refined by halving the step until the estimate
+    changes by less than a relative 1e-3, at most four times.  When
+    refinement fails to settle, the best value is still returned and flagged
+    through ``full_output``.
     """
     if not (0.0 < z < np.inf and 0.0 < temperature < np.inf):
         raise DomainError("separation and temperature must be positive and finite")
@@ -68,7 +76,7 @@ def entropy(z, temperature, model, config=None, *, rel_change=1e-3, max_refineme
     best = previous
     converged = False
     refinements = 0
-    for k in range(1, max_refinements + 1):
+    for k in range(1, _MAX_REFINEMENTS + 1):
         refinements = k
         h *= 0.5
         current = derivative(h)
@@ -76,14 +84,14 @@ def entropy(z, temperature, model, config=None, *, rel_change=1e-3, max_refineme
         change = abs(richardson - best) / max(abs(richardson), 1e-300)
         best = richardson
         previous = current
-        if change <= rel_change:
+        if change <= _RICHARDSON_REL_CHANGE:
             converged = True
             break
     estimate = EntropyEstimate(value=-best, converged=converged, refinements=refinements)
     return estimate if full_output else estimate.value
 
 
-def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
+def drude_zero_T_entropy(z, omega_p):
     """Zero-temperature entropy of the Drude prescription for a perfect lattice.
 
     S(z, 0) = k_B / (16 pi z^2) * Int_0^inf y dy ln[1 - g(y)^2 e^-y] with
@@ -94,9 +102,9 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
     term does, so it is integrated with the embedded Gauss-Kronrod pair on the
     engine's graded l = 0 panels.  The Kronrod sum is the result and
     |Kronrod - Gauss|, floored at the rounding level, its error estimate;
-    panels are split in two until the estimate meets ``rel_tol``, and
-    ConvergenceError, carrying the best estimate, is raised if it still does
-    not after ``_MAX_LEVELS`` splits.
+    panels are split in two until the estimate is within a relative 1e-8 of
+    max(|I|, zeta(3)), and ConvergenceError, carrying the best estimate, is
+    raised if it still is not after six splits.
 
     Parameters
     ----------
@@ -104,8 +112,6 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
         Separation, m.
     omega_p : float
         Plasma frequency, rad/s.
-    rel_tol : float
-        Relative tolerance of the error estimate, against max(|I|, zeta(3)).
     """
     if not (0.0 < z < np.inf and 0.0 < omega_p < np.inf):
         raise DomainError("separation and plasma frequency must be positive and finite")
@@ -119,7 +125,7 @@ def drude_zero_T_entropy(z, omega_p, rel_tol=1e-8):
         g = (y - root) / (y + root)
         value, error = kronrod_sum(y * np.log1p(-(g * g) * np.exp(-y)), kronrod, gauss)
         achieved = error / max(abs(value), ZETA3)
-        if achieved <= rel_tol:
+        if achieved <= _ZERO_T_REL_TOL:
             return prefactor * value
         edges = split_edges(edges)
     raise ConvergenceError("zero-temperature entropy quadrature did not converge",

@@ -33,7 +33,7 @@ _DISPERSION_REL_TOL = 1e-6
 _DISPERSION_SPLITS = 4
 
 
-def matsubara_frequency(index, temperature, constants=CONSTANTS):
+def matsubara_frequency(index, temperature):
     """Matsubara angular frequency xi_l = 2 pi k_B T l / hbar.
 
     Parameters
@@ -55,7 +55,7 @@ def matsubara_frequency(index, temperature, constants=CONSTANTS):
         raise DomainError("Matsubara index must be nonnegative")
     if not 0.0 < temperature < math.inf:
         raise DomainError("temperature must be positive and finite")
-    value = 2.0 * np.pi * constants.k_B * temperature / constants.hbar * index
+    value = 2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar * index
     return value if value.ndim else float(value)
 
 
@@ -368,22 +368,17 @@ def eps_from_table(xi, table):
     grid_part, achieved = _grid_dispersion_integral(xi_arr, table)
     omega_min = table.omega[0]
     rule = table.extrapolation
-    if isinstance(rule, DrudeTail):
-        tail = _drude_tail_integral(xi_arr, rule, omega_min)
-    elif isinstance(rule, ConstantEpsilon) or rule is None:
-        tail = np.zeros_like(grid_part)
-        if rule is None:
-            # probe with a 1/omega continuation of the lowest sample
-            probe = table.im_eps[0] * omega_min * np.arctan(omega_min / xi_arr) / xi_arr
-            total = grid_part + probe
-            mask = total > 0.0
-            if np.any(probe[mask] > 0.01 * total[mask]):
-                raise ExtrapolationError(
-                    "extrapolation required: below-grid absorption would exceed "
-                    "1% of the dispersion integral"
-                )
-    else:  # pragma: no cover - rejected at construction
-        raise DomainError("unknown extrapolation rule")
+    tail = _drude_tail_integral(xi_arr, rule, omega_min) if isinstance(rule, DrudeTail) else 0.0
+    if rule is None:
+        # probe with a 1/omega continuation of the lowest sample
+        probe = table.im_eps[0] * omega_min * np.arctan(omega_min / xi_arr) / xi_arr
+        total = grid_part + probe
+        mask = total > 0.0
+        if np.any(probe[mask] > 0.01 * total[mask]):
+            raise ExtrapolationError(
+                "extrapolation required: below-grid absorption would exceed "
+                "1% of the dispersion integral"
+            )
 
     value = 1.0 + (2.0 / np.pi) * (grid_part + tail)
     value = value.reshape(xi_in.shape) if xi_in.ndim else float(value[0])
@@ -402,15 +397,14 @@ def drude_absorption(omega, omega_p, gamma):
     return omega_p**2 * gamma / (omega * (omega**2 + gamma**2))
 
 
-def synthesize_drude_table(omega_p, gamma, omega_min, omega_max, points, extrapolation=None):
-    """Optical table sampled from the closed-form Drude absorption profile."""
+def synthesize_drude_table(omega_p, gamma, omega_min, omega_max, points):
+    """Optical table sampled from the closed-form Drude absorption profile,
+    continued below the grid by the same Drude tail."""
     omega = np.geomspace(omega_min, omega_max, points)
-    if extrapolation is None:
-        extrapolation = DrudeTail(omega_p, gamma)
     return OpticalTable(
         omega=omega,
         im_eps=drude_absorption(omega, omega_p, gamma),
-        extrapolation=extrapolation,
+        extrapolation=DrudeTail(omega_p, gamma),
         provenance=f"synthetic Drude absorption, omega_p={omega_p:.6e} rad/s, gamma={gamma:.6e} rad/s",
     )
 

@@ -46,9 +46,6 @@ class MetallicPreset:
     def gamma(self):
         return ev_to_angular_frequency(self.gamma_ev)
 
-    def drude_parameters(self, gamma_of_T=None):
-        return DrudeParameters(self.omega_p, self.gamma, gamma_of_T)
-
 
 METALLIC_PRESETS = {
     "au-paper": MetallicPreset("Au-paper", 9.0, 0.035),
@@ -81,8 +78,7 @@ def si_static_table():
     )
 
 
-def build_model(kind, preset="Au-paper", omega_p_ev=None, gamma_ev=None, table=None,
-                gamma_of_T=None):
+def build_model(kind, preset="Au-paper", omega_p_ev=None, gamma_ev=None, table=None):
     """Construct a material response from a prescription name and parameters.
 
     Parameters
@@ -113,7 +109,7 @@ def build_model(kind, preset="Au-paper", omega_p_ev=None, gamma_ev=None, table=N
     omega_p = ev_to_angular_frequency(omega_p_ev) if omega_p_ev is not None else metal.omega_p
     gamma = ev_to_angular_frequency(gamma_ev) if gamma_ev is not None else metal.gamma
     if kind == "drude":
-        return Drude(DrudeParameters(omega_p, gamma, gamma_of_T))
+        return Drude(DrudeParameters(omega_p, gamma))
     if kind == "plasma":
         return Plasma(omega_p)
     if kind == "impedance-ir":

@@ -22,7 +22,7 @@ class ReflectionPair(NamedTuple):
     r_te: float
 
 
-def fresnel_reflection(xi, k_perp, eps, constants=CONSTANTS):
+def fresnel_reflection(xi, k_perp, eps):
     """Fresnel reflection amplitudes of a half-space with permittivity ``eps``.
 
     Parameters
@@ -49,22 +49,22 @@ def fresnel_reflection(xi, k_perp, eps, constants=CONSTANTS):
         raise DomainError("fresnel_reflection requires finite k_perp >= 0")
     if not np.all((1.0 <= eps) & (eps < np.inf)):
         raise DomainError("fresnel_reflection requires finite eps >= 1")
-    return fresnel_q(xi, np.sqrt(k_perp**2 + (xi / constants.c) ** 2), eps, constants)
+    return fresnel_q(xi, np.sqrt(k_perp**2 + (xi / CONSTANTS.c) ** 2), eps)
 
 
-def fresnel_q(xi, q, eps, constants=CONSTANTS):
+def fresnel_q(xi, q, eps):
     """Fresnel amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
 
     The kernel behind :func:`fresnel_reflection`, without its input checks:
     the caller guarantees xi > 0, q >= xi/c and eps >= 1.  Inside the
     half-space k = sqrt(q^2 + (eps - 1) xi^2/c^2).
     """
-    k = np.sqrt(q * q + (eps - 1.0) * (xi / constants.c) ** 2)
+    k = np.sqrt(q * q + (eps - 1.0) * (xi / CONSTANTS.c) ** 2)
     eps_q = eps * q
     return ReflectionPair((eps_q - k) / (eps_q + k), (k - q) / (k + q))
 
 
-def impedance_reflection(xi, k_perp, impedance, constants=CONSTANTS):
+def impedance_reflection(xi, k_perp, impedance):
     """Reflection amplitudes under the Leontovich surface-impedance condition.
 
     Valid for small impedance; ``impedance`` outside (0, 1] is rejected
@@ -79,10 +79,10 @@ def impedance_reflection(xi, k_perp, impedance, constants=CONSTANTS):
         raise DomainError("impedance_reflection requires finite k_perp >= 0")
     if not np.all((0.0 < impedance) & (impedance <= 1.0)):
         raise DomainError("surface impedance must lie in (0, 1]")
-    return impedance_q(xi, np.sqrt(k_perp**2 + (xi / constants.c) ** 2), impedance, constants)
+    return impedance_q(xi, np.sqrt(k_perp**2 + (xi / CONSTANTS.c) ** 2), impedance)
 
 
-def impedance_q(xi, q, impedance, constants=CONSTANTS):
+def impedance_q(xi, q, impedance):
     """Leontovich amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
 
     The kernel behind :func:`impedance_reflection`.  It checks only the
@@ -92,7 +92,7 @@ def impedance_q(xi, q, impedance, constants=CONSTANTS):
     impedance = np.asarray(impedance, dtype=float)
     if np.any(impedance <= 0.0) or np.any(impedance > 1.0):
         raise DomainError("surface impedance must lie in (0, 1]")
-    cq = constants.c * q
+    cq = CONSTANTS.c * q
     z_xi = impedance * xi
     return ReflectionPair((cq - z_xi) / (cq + z_xi), (xi - cq * impedance) / (xi + cq * impedance))
 

@@ -130,6 +130,7 @@ class TestPressureCommand:
      "--points", "3"),
     ("entropy", "--z-um", "1", "--model", "plasma", "--t-max", "inf"),
     ("entropy", "--z-um", "1", "--model", "plasma", "--t-min", "nan"),
+    ("pressure", "--z-min-um", "1", "--z-max-um", "inf", "--points", "3"),
 ])
 def test_non_finite_separation_or_temperature_exits_two(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -148,6 +149,93 @@ def test_non_finite_material_parameter_exits_two(tmp_path, capsys, flag, value):
     assert code == 2
     assert out.read_text() == "previous result\n"
     assert "finite" in capsys.readouterr().err
+
+
+_MODEL_KEYS = {"model", "preset", "table_file", "extrapolation", "omega_p_ev", "gamma_ev"}
+_GRID_KEYS = {"command", "z_min_um", "z_max_um", "points", "temperature_K", "tol"} | _MODEL_KEYS
+
+# Every option of a subcommand except --format and --out, under its dest name.
+RUN_CONFIG_KEYS = {
+    "pressure": _GRID_KEYS,
+    "free-energy": _GRID_KEYS,
+    "entropy": {"command", "z_um", "t_max_K", "t_min_K", "points", "gamma_map", "tol"}
+               | _MODEL_KEYS,
+    "pft": {"command", "kind", "z_um", "R_um"},
+    "yukawa": {"command", "bound_file", "geometry_file", "lambda_min_um", "lambda_max_um",
+               "points"},
+    "optics-convert": {"command", "table_file", "preset", "extrapolation", "xi_min_ev",
+                       "xi_max_ev", "points"},
+}
+
+
+def _header_config(text):
+    """The ``# key: value`` lines of a CSV header (entropy has none)."""
+    config = {}
+    for line in text.splitlines():
+        if not line.startswith("# "):
+            break
+        key, sep, value = line[2:].partition(": ")
+        if sep and key not in ("config-hash", "note", "units", "json"):
+            config[key] = value
+    return config
+
+
+def _subcommand_argv(command, tmp_path):
+    bound_file = tmp_path / "bound.csv"
+    bound_file.write_text(BOUND_CSV)
+    geometry_file = tmp_path / "geometry.json"
+    geometry_file.write_text(GEOMETRY_JSON)
+    grid = ("--z-min-um", "1", "--z-max-um", "2", "--points", "2", "--model", "plasma")
+    return {
+        "pressure": ("pressure", *grid),
+        "free-energy": ("free-energy", *grid),
+        "entropy": ("entropy", "--z-um", "1", "--model", "plasma", "--t-max", "300",
+                    "--t-min", "100", "--points", "5"),
+        "pft": ("pft", "--kind", "cylinder", "--z-um", "0.1", "--R-um", "100"),
+        "yukawa": ("yukawa", "--bound-file", str(bound_file), "--geometry-file",
+                   str(geometry_file), "--lambda-min-um", "0.1", "--lambda-max-um", "2",
+                   "--points", "3"),
+        "optics-convert": ("optics-convert", "--preset", "Si-static", "--xi-min-ev", "0.01",
+                           "--xi-max-ev", "1", "--points", "3"),
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(RUN_CONFIG_KEYS))
+def test_run_config_records_every_option(tmp_path, command):
+    argv = _subcommand_argv(command, tmp_path)
+    code, csv_out = run(tmp_path, *argv, "--format", "csv", name="out.csv")
+    assert code == 0
+    code, json_out = run(tmp_path, *argv, "--format", "json", name="out.json")
+    assert code == 0
+    document = json.loads(json_out.read_text())
+    assert set(document["config"]) == RUN_CONFIG_KEYS[command]
+    assert document["config"]["command"] == command
+    csv_text = csv_out.read_text()
+    assert f"# config-hash: {document['config_hash']}" in csv_text.splitlines()
+    if command != "entropy":
+        assert set(_header_config(csv_text)) == RUN_CONFIG_KEYS[command]
+
+
+def test_run_config_records_table_file_as_table_model(tmp_path):
+    table_file = tmp_path / "gold.txt"
+    table_file.write_text("".join(f"{w:.10e} {81.0 * 0.035 / (w * (w * w + 0.035**2)):.10e}\n"
+                                  for w in np.geomspace(1e-3, 1e3, 120)))
+    code, out = run(tmp_path, "pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1",
+                    "--model", "plasma", "--table-file", str(table_file),
+                    "--extrapolation", "drude:9.0:0.035", "--format", "json")
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["model"] == "table"
+    assert config["table_file"] == str(table_file)
+    assert config["extrapolation"] == "drude:9.0:0.035"
+    assert config["omega_p_ev"] is None
+
+
+def test_run_config_records_yukawa_file_base_names(tmp_path):
+    code, out = run(tmp_path, *_subcommand_argv("yukawa", tmp_path), "--format", "json")
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["bound_file"], config["geometry_file"]) == ("bound.csv", "geometry.json")
 
 
 class TestFreeEnergyCommand:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from thermal_casimir.constants import CONSTANTS, ev_to_angular_frequency
 from thermal_casimir.errors import DomainError
 
 from oracles import drude_zero_entropy_mp, drude_zero_entropy_numeric
+
+# the package's ``entropy`` attribute is the function, so look the module up by name
+entropy_module = importlib.import_module("thermal_casimir.entropy")
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +37,11 @@ class TestZeroTemperatureEntropy:
             drude_zero_entropy_mp(z, omega_p), rel=1e-10
         )
 
-    def test_unreachable_tolerance_raises_with_best_estimate(self):
+    def test_unreachable_tolerance_raises_with_best_estimate(self, monkeypatch):
         omega_p = ev_to_angular_frequency(1.0)
+        monkeypatch.setattr(entropy_module, "_ZERO_T_REL_TOL", 1e-20)
         with pytest.raises(tc.ConvergenceError) as info:
-            tc.drude_zero_T_entropy(0.1e-6, omega_p, rel_tol=1e-20)
+            tc.drude_zero_T_entropy(0.1e-6, omega_p)
         assert info.value.best_estimate < 0.0
         assert info.value.best_estimate == pytest.approx(
             drude_zero_entropy_mp(0.1e-6, omega_p), rel=1e-10
@@ -159,11 +165,12 @@ class TestEntropyFiniteDifferences:
         assert tc.entropy(1e-6, temperature, model) == pytest.approx(
             tc.drude_zero_T_entropy(1e-6, au_omega_p), rel=1e-6)
 
-    def test_full_output_reports_convergence(self, plasma_au):
+    def test_full_output_reports_convergence(self, plasma_au, monkeypatch):
         estimate = tc.entropy(1e-6, 10.0, plasma_au, full_output=True)
         assert estimate.converged
-        unsettled = tc.entropy(1e-6, 10.0, plasma_au, rel_change=1e-16,
-                               max_refinements=1, full_output=True)
+        monkeypatch.setattr(entropy_module, "_RICHARDSON_REL_CHANGE", 1e-16)
+        monkeypatch.setattr(entropy_module, "_MAX_REFINEMENTS", 1)
+        unsettled = tc.entropy(1e-6, 10.0, plasma_au, full_output=True)
         assert not unsettled.converged
         assert np.isfinite(unsettled.value)
 

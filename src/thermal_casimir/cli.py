@@ -9,12 +9,14 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .entropy import nernst_verdict
+from .constants import CONSTANTS, angular_frequency_to_ev
+from .entropy import ENTROPY_CONFIG, nernst_verdict
 from .errors import ConvergenceError, DomainError, ExtrapolationError, PrescriptionError
 from .fileio import (
     FileFormatError,
@@ -23,23 +25,19 @@ from .fileio import (
     load_optical_table,
     load_residual_bound,
     parse_extrapolation,
-    render_entropy_scan,
     render_table,
 )
 from .geometry import GeometryCase, exact_cylinder_force, pft_force
-from .lifshitz import EvaluationConfig, free_energy
+from .lifshitz import DEFAULT_CONFIG, EvaluationConfig, free_energy
 from .materials import eps_from_table
-from .presets import build_model, si_static_table
+from .presets import DEFAULT_PRESET, MODEL_KINDS, build_model
 from .yukawa import exclusion_bound
-from .constants import angular_frequency_to_ev, ev_to_angular_frequency
-
-_MODEL_KINDS = ("ideal", "drude", "plasma", "impedance-ir", "impedance-skin", "table")
 
 
 def _add_model_arguments(parser):
-    parser.add_argument("--model", choices=_MODEL_KINDS, default="drude",
+    parser.add_argument("--model", choices=MODEL_KINDS, default="drude",
                         help="material prescription (default: drude)")
-    parser.add_argument("--preset", default="Au-paper",
+    parser.add_argument("--preset", default=DEFAULT_PRESET,
                         help="parameter preset: Au-paper, Au-resistivity or Si-static")
     parser.add_argument("--table-file", default=None,
                         help="optical table file (omega_eV, Im_eps) for --model table")
@@ -52,21 +50,27 @@ def _add_model_arguments(parser):
                         help="override the preset relaxation parameter, eV")
 
 
-def _add_output_arguments(parser, tol=True):
-    if tol:
-        parser.add_argument("--tol", type=float, default=1e-7,
-                            help="relative tolerance of the evaluation (default 1e-7)")
+def _add_output_arguments(parser, tol=DEFAULT_CONFIG.rel_tolerance):
+    """Add --format and --out, and --tol with default ``tol`` unless it is None."""
+    if tol is not None:
+        parser.add_argument("--tol", type=float, default=tol,
+                            help="relative tolerance of the evaluation (default %(default)g)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+def _table_file(args):
+    """The optical table that --table-file names, or None without one."""
+    if args.table_file is None:
+        return None
+    return load_optical_table(args.table_file, parse_extrapolation(args.extrapolation))
+
+
 def _resolve_model(args):
-    if args.table_file is not None:
-        table = load_optical_table(args.table_file, parse_extrapolation(args.extrapolation))
-        return build_model("table", table=table)
+    table = _table_file(args)
     return build_model(
-        args.model, preset=args.preset,
-        omega_p_ev=args.omega_p_ev, gamma_ev=args.gamma_ev,
+        "table" if table is not None else args.model, preset=args.preset,
+        omega_p_ev=args.omega_p_ev, gamma_ev=args.gamma_ev, table=table,
     )
 
 
@@ -89,16 +93,16 @@ def _run_config(args):
     return config
 
 
-def _z_grid(args):
-    if args.points < 1:
-        raise DomainError("grid needs at least one point")
-    if not (0.0 < args.z_min_um <= args.z_max_um):
-        raise DomainError("need 0 < z-min-um <= z-max-um")
-    if args.points == 1 and args.z_min_um != args.z_max_um:
-        raise DomainError("a single-point grid needs z-min-um == z-max-um")
-    if not args.z_max_um < np.inf:
-        raise DomainError("z-max-um must be finite")
-    return np.geomspace(args.z_min_um * 1e-6, args.z_max_um * 1e-6, args.points)
+def _log_grid(low, high, points, scale, name):
+    """``points`` log-spaced values from ``low * scale`` to ``high * scale``; one
+    point needs ``low == high``.  ``name`` labels the --NAME-min/--NAME-max pair."""
+    if points < 1:
+        raise DomainError(f"{name} grid needs at least one point")
+    if not (0.0 < low <= high < np.inf):
+        raise DomainError(f"need 0 < {name}-min <= {name}-max, both finite")
+    if points == 1 and low != high:
+        raise DomainError(f"a single-point {name} grid needs {name}-min == {name}-max")
+    return np.geomspace(low * scale, high * scale, points)
 
 
 _LIFSHITZ_UNITS = {
@@ -112,9 +116,9 @@ _LIFSHITZ_UNITS = {
 
 
 def cmd_lifshitz_table(args):
-    model = _resolve_model(args)
     config = EvaluationConfig(rel_tolerance=args.tol)
-    grid = _z_grid(args)
+    model = _resolve_model(args)
+    grid = _log_grid(args.z_min_um, args.z_max_um, args.points, 1e-6, "z")
     results = [free_energy(float(z), args.temperature_K, model, config) for z in grid]
     columns = ("z_m", "free_energy_J_per_m2", "pressure_Pa", "terms_used",
                "zero_frequency_share", "error_estimate")
@@ -150,14 +154,27 @@ def _gamma_map_arguments(spec):
 
 
 def cmd_entropy(args):
+    config = EvaluationConfig(rel_tolerance=args.tol)
     model = _resolve_model(args)
     gamma_map = _gamma_map_arguments(args.gamma_map)
-    config = EvaluationConfig(rel_tolerance=args.tol)
     scan = nernst_verdict(
         model, args.z_um * 1e-6, **gamma_map,
         t_max=args.t_max_K, t_min=args.t_min_K, points=args.points, config=config,
     )
-    return render_entropy_scan(scan, _run_config(args), args.fmt)
+    diagnostics = {
+        "verdict": scan.verdict,
+        "prescription": scan.prescription,
+        "z_m": scan.z,
+        "extrapolated_zero": scan.extrapolated_zero,
+        "uncertainty": scan.uncertainty,
+        "fit_intercepts": list(scan.fit_intercepts),
+        "all_converged": bool(scan.all_converged),
+    }
+    columns = ("T_K", "entropy_J_per_K_m2")
+    units = {"T_K": "K", "entropy_J_per_K_m2": "J/(K m^2)"}
+    rows = list(zip(scan.temperatures, scan.entropy_values))
+    return render_table("entropy", _run_config(args), columns, units, rows, args.fmt,
+                        diagnostics=diagnostics)
 
 
 _PFT_UNITS = {
@@ -197,11 +214,7 @@ def cmd_pft(args):
 def cmd_yukawa(args):
     bound = load_residual_bound(args.bound_file)
     geometry = load_geometry_pair(args.geometry_file)
-    if args.points < 1:
-        raise DomainError("lambda grid needs at least one point")
-    if not (0.0 < args.lambda_min_um <= args.lambda_max_um < np.inf):
-        raise DomainError("need 0 < lambda-min-um <= lambda-max-um, both finite")
-    lambdas = np.geomspace(args.lambda_min_um * 1e-6, args.lambda_max_um * 1e-6, args.points)
+    lambdas = _log_grid(args.lambda_min_um, args.lambda_max_um, args.points, 1e-6, "lambda")
     config = _run_config(args)
     curve = exclusion_bound(
         bound, geometry, lambdas,
@@ -215,20 +228,8 @@ def cmd_yukawa(args):
 
 
 def cmd_optics_convert(args):
-    if args.table_file is not None:
-        table = load_optical_table(args.table_file, parse_extrapolation(args.extrapolation))
-    elif args.preset.lower() == "si-static":
-        table = si_static_table()
-    else:
-        raise DomainError("optics-convert needs --table-file or --preset Si-static")
-    if args.points < 1:
-        raise DomainError("frequency grid needs at least one point")
-    if not (0.0 < args.xi_min_ev <= args.xi_max_ev < np.inf):
-        raise DomainError("need 0 < xi-min-ev <= xi-max-ev, both finite")
-    xi = np.geomspace(
-        ev_to_angular_frequency(args.xi_min_ev), ev_to_angular_frequency(args.xi_max_ev),
-        args.points,
-    )
+    table = build_model("table", preset=args.preset, table=_table_file(args)).table
+    xi = _log_grid(args.xi_min_ev, args.xi_max_ev, args.points, CONSTANTS.ev_to_rad_per_s, "xi")
     eps = np.atleast_1d(eps_from_table(xi, table))
     columns = ("xi_rad_per_s", "xi_ev", "eps_i_xi")
     units = {"xi_rad_per_s": "rad/s", "xi_ev": "eV", "eps_i_xi": "1"}
@@ -259,22 +260,23 @@ def build_parser():
         _add_output_arguments(p)
         p.set_defaults(handler=cmd_lifshitz_table)
 
+    nernst = {k: v.default for k, v in inspect.signature(nernst_verdict).parameters.items()}
     p = sub.add_parser("entropy", help="entropy scan toward T = 0 with a Nernst verdict")
     p.add_argument("--z-um", type=float, required=True)
-    p.add_argument("--t-max", dest="t_max_K", metavar="T_MAX", type=float, default=300.0)
-    p.add_argument("--t-min", dest="t_min_K", metavar="T_MIN", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--t-max", dest="t_max_K", metavar="T_MAX", type=float, default=nernst["t_max"])
+    p.add_argument("--t-min", dest="t_min_K", metavar="T_MIN", type=float, default=nernst["t_min"])
+    p.add_argument("--points", type=int, default=nernst["points"])
     p.add_argument("--gamma-map", default=None,
                    help="perfect-lattice, residual[:FRACTION] or a (T_K, gamma_eV) file")
     _add_model_arguments(p)
-    _add_output_arguments(p)
-    p.set_defaults(handler=cmd_entropy, tol=1e-9)
+    _add_output_arguments(p, tol=ENTROPY_CONFIG.rel_tolerance)
+    p.set_defaults(handler=cmd_entropy)
 
     p = sub.add_parser("pft", help="proximity-force results for curved geometries")
     p.add_argument("--kind", choices=("cylinder", "sphere"), required=True)
     p.add_argument("--z-um", type=float, required=True)
     p.add_argument("--R-um", type=float, required=True)
-    _add_output_arguments(p, tol=False)
+    _add_output_arguments(p, tol=None)
     p.set_defaults(handler=cmd_pft)
 
     p = sub.add_parser("yukawa", help="exclusion curve from a residual pressure bound")
@@ -283,7 +285,7 @@ def build_parser():
     p.add_argument("--lambda-min-um", type=float, required=True)
     p.add_argument("--lambda-max-um", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    _add_output_arguments(p, tol=False)
+    _add_output_arguments(p, tol=None)
     p.set_defaults(handler=cmd_yukawa)
 
     p = sub.add_parser("optics-convert", help="tabulated absorption to eps(i*xi)")
@@ -293,7 +295,7 @@ def build_parser():
     p.add_argument("--xi-min-ev", type=float, required=True)
     p.add_argument("--xi-max-ev", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    _add_output_arguments(p, tol=False)
+    _add_output_arguments(p, tol=None)
     p.set_defaults(handler=cmd_optics_convert)
 
     return parser
@@ -303,12 +305,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None:
-            EvaluationConfig(rel_tolerance=tol)  # validate early
         text = args.handler(args)
     except (FileFormatError, DomainError, ExtrapolationError, PrescriptionError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -24,7 +24,7 @@ from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, split_edges
 
 #: Engine tolerance used for entropy differences; the free-energy differences
 #: being differentiated are three to four orders below the free energy itself.
-_ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
+ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 
 #: Verdict thresholds in units of the extrapolation uncertainty.
 VIOLATION_THRESHOLD = 5.0
@@ -65,7 +65,7 @@ def entropy(z, temperature, model, config=None, *, full_output=False):
     if not (0.0 < z < np.inf and 0.0 < temperature < np.inf):
         raise DomainError("separation and temperature must be positive and finite")
     h = temperature / 50.0 if temperature < 1.0 else max(temperature / 50.0, 0.5)
-    cfg = config if config is not None else _ENTROPY_CONFIG
+    cfg = config if config is not None else ENTROPY_CONFIG
 
     def derivative(step):
         upper = _free_energy_value(z, temperature + step, model, cfg)

@@ -1,8 +1,9 @@
 """File formats: optical tables, residual bounds, geometry and gamma maps.
 
-Input conventions (all text, '#' starts a comment):
+Input conventions (all text; in the two-column files '#' starts a comment and a
+comma counts as whitespace):
   optical table   two columns, omega in eV and Im eps (dimensionless)
-  residual bound  two columns (comma or whitespace), z in nm, Delta_tot in mPa
+  residual bound  two columns, z in nm and Delta_tot in mPa
   gamma map       two columns, T in K and gamma in eV
   geometry        JSON with "body_a" and "body_b" objects
 
@@ -29,27 +30,6 @@ class FileFormatError(ValueError):
     """An input file does not match its documented format."""
 
 
-def _data_rows(path, columns, separators=True):
-    rows = []
-    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split() if separators else line.split()
-        if len(parts) != columns:
-            raise FileFormatError(f"{path}:{number}: expected {columns} columns, got {len(parts)}")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise FileFormatError(f"{path}:{number}: non-numeric value in {line!r}") from None
-        if not all(math.isfinite(v) for v in row):
-            raise FileFormatError(f"{path}:{number}: non-finite value in {line!r}")
-        rows.append(row)
-    if not rows:
-        raise FileFormatError(f"{path}: no data rows")
-    return np.asarray(rows)
-
-
 def parse_extrapolation(spec):
     """Parse an extrapolation rule: 'drude:WP_EV:GAMMA_EV', 'constant:EPS0' or 'none'."""
     if spec is None or spec == "none":
@@ -70,39 +50,56 @@ def parse_extrapolation(spec):
     )
 
 
-def load_optical_table(path, extrapolation=None):
-    """Load a two-column optical table (omega in eV, Im eps)."""
-    data = _data_rows(path, 2)
+def _load(path, build):
+    """Build an object from the two data columns of a text file; a value that
+    ``build`` rejects with a DomainError is reported as a FileFormatError."""
+    rows = []
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise FileFormatError(f"{path}:{number}: expected 2 columns, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise FileFormatError(f"{path}:{number}: non-numeric value in {line!r}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise FileFormatError(f"{path}:{number}: non-finite value in {line!r}")
+        rows.append(row)
+    if not rows:
+        raise FileFormatError(f"{path}: no data rows")
+    data = np.asarray(rows)
     try:
-        return OpticalTable(
-            omega=ev_to_angular_frequency(data[:, 0]),
-            im_eps=data[:, 1],
-            extrapolation=extrapolation,
-            provenance=f"loaded from {Path(path).name}",
-        )
+        return build(data[:, 0], data[:, 1])
     except DomainError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+
+
+def load_optical_table(path, extrapolation=None):
+    """Load a two-column optical table (omega in eV, Im eps)."""
+    return _load(path, lambda omega_ev, im_eps: OpticalTable(
+        omega=ev_to_angular_frequency(omega_ev),
+        im_eps=im_eps,
+        extrapolation=extrapolation,
+        provenance=f"loaded from {Path(path).name}",
+    ))
 
 
 def load_residual_bound(path):
     """Load a residual confidence bound (z in nm, Delta_tot in mPa)."""
-    data = _data_rows(path, 2)
-    try:
-        return ResidualBound(z=data[:, 0] * 1e-9, delta_tot=data[:, 1] * 1e-3)
-    except DomainError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return _load(path, lambda z_nm, delta_mpa: ResidualBound(
+        z=z_nm * 1e-9, delta_tot=delta_mpa * 1e-3,
+    ))
 
 
 def load_gamma_map(path):
     """Load a tabulated relaxation map (T in K, gamma in eV)."""
-    data = _data_rows(path, 2)
-    try:
-        return TabulatedGamma(
-            temperatures=tuple(data[:, 0]),
-            gammas=tuple(ev_to_angular_frequency(data[:, 1])),
-        )
-    except DomainError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return _load(path, lambda t_k, gamma_ev: TabulatedGamma(
+        temperatures=tuple(t_k),
+        gammas=tuple(ev_to_angular_frequency(gamma_ev)),
+    ))
 
 
 def _body_from_mapping(mapping, label):
@@ -163,11 +160,13 @@ def config_hash(config):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def render_table(command, config, columns, units, rows, fmt, notes=()):
+def render_table(command, config, columns, units, rows, fmt, notes=(), diagnostics=None):
     """Render a result table as deterministic CSV or JSON text.
 
     ``rows`` is a sequence of equal-length value sequences matching
-    ``columns``; ``units`` maps column names to unit strings.
+    ``columns``; ``units`` maps column names to unit strings.  A
+    ``diagnostics`` mapping, if given, becomes a compact ``# json:`` header
+    line in CSV and a ``"diagnostics"`` entry in JSON.
     """
     digest = config_hash(config)
     if fmt == "csv":
@@ -177,6 +176,9 @@ def render_table(command, config, columns, units, rows, fmt, notes=()):
             lines.append(f"# {key}: {'' if value is None else value}")
         for note in notes:
             lines.append(f"# note: {note}")
+        if diagnostics is not None:
+            lines.append("# json: " + json.dumps(diagnostics, sort_keys=True,
+                                                 separators=(",", ":")))
         lines.append("# units: " + ",".join(units[c] for c in columns))
         lines.append(",".join(columns))
         for row in rows:
@@ -192,6 +194,8 @@ def render_table(command, config, columns, units, rows, fmt, notes=()):
             "notes": list(notes),
             "rows": [[_json_value(v) for v in row] for row in rows],
         }
+        if diagnostics is not None:
+            document["diagnostics"] = diagnostics
         return json.dumps(document, sort_keys=True, indent=2) + "\n"
     raise DomainError(f"unknown output format {fmt!r}")
 
@@ -206,42 +210,3 @@ def _json_value(value):
     if isinstance(value, (float, np.floating)):
         return "inf" if np.isinf(value) else float(value)
     return str(value)
-
-
-def render_entropy_scan(scan, config, fmt):
-    """Serialize an entropy scan: (T, S) table plus a JSON diagnostics header."""
-    diagnostics = {
-        "verdict": scan.verdict,
-        "prescription": scan.prescription,
-        "z_m": scan.z,
-        "extrapolated_zero": scan.extrapolated_zero,
-        "uncertainty": scan.uncertainty,
-        "fit_intercepts": list(scan.fit_intercepts),
-        "all_converged": bool(scan.all_converged),
-    }
-    rows = list(zip(scan.temperatures, scan.entropy_values))
-    columns = ("T_K", "entropy_J_per_K_m2")
-    units = {"T_K": "K", "entropy_J_per_K_m2": "J/(K m^2)"}
-    if fmt == "csv":
-        digest = config_hash(config)
-        lines = [
-            "# thermal-casimir entropy",
-            f"# config-hash: sha256:{digest}",
-            "# json: " + json.dumps(diagnostics, sort_keys=True, separators=(",", ":")),
-            ",".join(columns),
-        ]
-        for row in rows:
-            lines.append(",".join(format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        document = {
-            "command": "entropy",
-            "config": config,
-            "config_hash": f"sha256:{config_hash(config)}",
-            "diagnostics": diagnostics,
-            "columns": list(columns),
-            "units": units,
-            "rows": [[float(t), float(s)] for t, s in rows],
-        }
-        return json.dumps(document, sort_keys=True, indent=2) + "\n"
-    raise DomainError(f"unknown output format {fmt!r}")

@@ -25,10 +25,9 @@ _CYLINDER_FORCE_COEFFICIENT = 0.6 * (20.0 / (3.0 * np.pi**2) - 7.0 / 36.0)
 
 @dataclass(frozen=True)
 class GeometryCase:
-    """One geometry: plate-plate, cylinder-plate or sphere-plate.
+    """One curved geometry: cylinder-plate or sphere-plate.
 
-    ``radius`` is the cylinder or sphere radius and must be absent for
-    plate-plate.
+    ``radius`` is the cylinder or sphere radius; leaving it out is an error.
     """
 
     kind: str
@@ -36,21 +35,16 @@ class GeometryCase:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("plate-plate", "cylinder-plate", "sphere-plate"):
+        if self.kind not in ("cylinder-plate", "sphere-plate"):
             raise DomainError(f"unknown geometry kind {self.kind!r}")
         if not 0.0 < self.z < np.inf:
             raise DomainError("separation must be positive and finite")
-        if self.kind == "plate-plate":
-            if self.radius is not None:
-                raise DomainError("plate-plate geometry takes no radius")
-        elif self.radius is None or not 0.0 < self.radius < np.inf:
+        if self.radius is None or not 0.0 < self.radius < np.inf:
             raise DomainError("curved geometry needs a positive, finite radius")
 
     @property
     def aspect(self):
         """Separation over radius, the PFT expansion parameter."""
-        if self.radius is None:
-            return 0.0
         return self.z / self.radius
 
     @property
@@ -88,10 +82,8 @@ def pft_force(case):
     """Proximity-force value of the Casimir force for a curved geometry.
 
     Returns N/m for a cylinder above a plate (force per unit length) and N
-    for a sphere above a plate.  Not defined for plate-plate.
+    for a sphere above a plate.
     """
-    if case.kind == "plate-plate":
-        raise DomainError("proximity-force result is undefined for plate-plate")
     hc = CONSTANTS.hbar * CONSTANTS.c
     if case.kind == "cylinder-plate":
         return -(np.pi**3) / (384.0 * np.sqrt(2.0)) * np.sqrt(case.radius / case.z) * hc / case.z**3

@@ -78,14 +78,18 @@ def si_static_table():
     )
 
 
-def build_model(kind, preset="Au-paper", omega_p_ev=None, gamma_ev=None, table=None):
+#: The prescription names ``build_model`` accepts, and its default preset.
+MODEL_KINDS = ("ideal", "drude", "plasma", "impedance-ir", "impedance-skin", "table")
+DEFAULT_PRESET = "Au-paper"
+
+
+def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, table=None):
     """Construct a material response from a prescription name and parameters.
 
     Parameters
     ----------
     kind : str
-        One of "ideal", "drude", "plasma", "impedance-ir", "impedance-skin",
-        "table".
+        One of ``MODEL_KINDS``.
     preset : str
         Parameter preset for metallic prescriptions, or "Si-static" for the
         bundled table.

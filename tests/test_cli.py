@@ -139,6 +139,26 @@ def test_non_finite_separation_or_temperature_exits_two(tmp_path, capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # every grid follows one rule: a single point needs min == max
+    ("pressure", "--z-min-um", "1", "--z-max-um", "2", "--points", "1"),
+    ("yukawa", "--bound-file", "{tmp}/bound.csv", "--geometry-file", "{tmp}/geometry.json",
+     "--lambda-min-um", "0.1", "--lambda-max-um", "2", "--points", "1"),
+    ("optics-convert", "--preset", "Si-static", "--xi-min-ev", "0.1", "--xi-max-ev", "1",
+     "--points", "1"),
+    # an input path that cannot be read as a file
+    ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--table-file", "{tmp}"),
+    ("entropy", "--z-um", "1", "--model", "drude", "--gamma-map", ""),
+])
+def test_bad_grid_or_unreadable_path_exits_two(tmp_path, capsys, argv):
+    (tmp_path / "bound.csv").write_text(BOUND_CSV)
+    (tmp_path / "geometry.json").write_text(GEOMETRY_JSON)
+    code, out = run(tmp_path, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("flag, value", [("--omega-p-ev", "nan"), ("--omega-p-ev", "inf"),
                                          ("--gamma-ev", "nan"), ("--gamma-ev", "inf")])
 def test_non_finite_material_parameter_exits_two(tmp_path, capsys, flag, value):
@@ -168,16 +188,16 @@ RUN_CONFIG_KEYS = {
 }
 
 
-def _header_config(text):
-    """The ``# key: value`` lines of a CSV header (entropy has none)."""
-    config = {}
+def _header_keys(text):
+    """The keys of the ``# key: value`` config lines of a CSV header, in order."""
+    keys = []
     for line in text.splitlines():
         if not line.startswith("# "):
             break
-        key, sep, value = line[2:].partition(": ")
+        key, sep, _ = line[2:].partition(": ")
         if sep and key not in ("config-hash", "note", "units", "json"):
-            config[key] = value
-    return config
+            keys.append(key)
+    return keys
 
 
 def _subcommand_argv(command, tmp_path):
@@ -212,8 +232,8 @@ def test_run_config_records_every_option(tmp_path, command):
     assert document["config"]["command"] == command
     csv_text = csv_out.read_text()
     assert f"# config-hash: {document['config_hash']}" in csv_text.splitlines()
-    if command != "entropy":
-        assert set(_header_config(csv_text)) == RUN_CONFIG_KEYS[command]
+    assert sorted(_header_keys(csv_text)) == sorted(RUN_CONFIG_KEYS[command])
+    assert sum(line.startswith("# units: ") for line in csv_text.splitlines()) == 1
 
 
 def test_run_config_records_table_file_as_table_model(tmp_path):

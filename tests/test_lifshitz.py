@@ -453,6 +453,21 @@ def test_pressure_is_minus_the_separation_derivative(tag, log_z, log_t):
     assert numeric == pytest.approx(analytic, rel=bound, abs=0.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(log_z=st.floats(-8.0, -5.0), log_t=st.floats(-1.0, 3.0))
+def test_plasma_binds_at_least_as_strongly_as_drude(log_z, log_t):
+    # term by term: eps_plasma(i xi) = 1 + wp^2/xi^2 exceeds the Drude value at
+    # every xi > 0, so both reflection coefficients are larger, and at l = 0 the
+    # plasma TE mode reflects while the Drude one does not; hence F_plasma <=
+    # F_drude up to the two relative error estimates
+    z, temperature = 10.0**log_z, 10.0**log_t
+    plasma = tc.free_energy(z, temperature, _model("plasma"))
+    drude = tc.free_energy(z, temperature, _model("drude"))
+    slack = (abs(plasma.free_energy_per_area) * plasma.quadrature_error_estimate
+             + abs(drude.free_energy_per_area) * drude.quadrature_error_estimate)
+    assert plasma.free_energy_per_area <= drude.free_energy_per_area + slack
+
+
 class TestEvaluationConfig:
     @pytest.mark.parametrize("tol", [0.0, -1e-3, 0.5])
     def test_tolerance_bounds(self, tol):

@@ -306,6 +306,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         text = args.handler(args)
+        if args.out is not None:
+            Path(args.out).write_text(text)
     except (FileFormatError, DomainError, ExtrapolationError, PrescriptionError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -313,9 +315,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.out is not None:
-        Path(args.out).write_text(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

@@ -17,10 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONSTANTS, ZETA3
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .lifshitz import EvaluationConfig, _free_energy_value
 from .materials import Drude, PowerLawGamma
-from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, split_edges
+from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, refine, split_edges
 
 #: Engine tolerance used for entropy differences; the free-energy differences
 #: being differentiated are three to four orders below the free energy itself.
@@ -36,10 +36,10 @@ CLEARANCE_THRESHOLD = 1.0
 _RICHARDSON_REL_CHANGE = 1e-3
 _MAX_REFINEMENTS = 4
 
-#: Relative tolerance of the zero-temperature entropy integral, and the panel
-#: splits allowed to reach it.
+#: Relative tolerance of the zero-temperature entropy integral, and the
+#: refinement levels allowed to reach it (up to six splits of every panel).
 _ZERO_T_REL_TOL = 1e-8
-_MAX_LEVELS = 6
+_ZERO_T_LEVELS = 7
 
 #: Cold-end fit variants: (polynomial degree, number of coldest grid points).
 _FIT_VARIANTS = ((2, 12), (2, 9), (2, 6), (1, 5))
@@ -101,10 +101,12 @@ def drude_zero_T_entropy(z, omega_p):
     The integrand behaves like y ln y at the origin, as the ideal-metal l = 0
     term does, so it is integrated with the embedded Gauss-Kronrod pair on the
     engine's graded l = 0 panels.  The Kronrod sum is the result and
-    |Kronrod - Gauss|, floored at the rounding level, its error estimate;
-    panels are split in two until the estimate is within a relative 1e-8 of
-    max(|I|, zeta(3)), and ConvergenceError, carrying the best estimate, is
-    raised if it still is not after six splits.
+    |Kronrod - Gauss|, floored at the rounding level, its error estimate.
+    :func:`.quadrature.refine` splits every panel in two until the estimate
+    is within a relative 1e-8 of max(|I|, zeta(3)), at most six times, and
+    otherwise raises ConvergenceError ("zero-temperature entropy quadrature
+    did not reach tolerance 1e-08 (achieved ...)") carrying the last
+    estimate of S(z, 0).
 
     Parameters
     ----------
@@ -118,18 +120,15 @@ def drude_zero_T_entropy(z, omega_p):
     y_hat = 2.0 * z * omega_p / CONSTANTS.c
     prefactor = CONSTANTS.k_B / (16.0 * np.pi * z**2)
 
-    edges = L0_EDGES
-    for _ in range(_MAX_LEVELS + 1):
-        y, kronrod, gauss = kronrod_rule(edges)
+    def evaluate(level):
+        y, kronrod, gauss = kronrod_rule(split_edges(L0_EDGES, level - 1))
         root = np.sqrt(y_hat**2 + y * y)
         g = (y - root) / (y + root)
         value, error = kronrod_sum(y * np.log1p(-(g * g) * np.exp(-y)), kronrod, gauss)
-        achieved = error / max(abs(value), ZETA3)
-        if achieved <= _ZERO_T_REL_TOL:
-            return prefactor * value
-        edges = split_edges(edges)
-    raise ConvergenceError("zero-temperature entropy quadrature did not converge",
-                           best_estimate=prefactor * value, achieved_tolerance=achieved)
+        return prefactor * value, error / max(abs(value), ZETA3)
+
+    return refine(evaluate, _ZERO_T_LEVELS, _ZERO_T_REL_TOL,
+                  "zero-temperature entropy quadrature")[0]
 
 
 def entropy_large_z_limit(z):

@@ -35,7 +35,7 @@ The relative error estimate has three parts: quadrature (Kronrod minus
 Gauss, on the terms and on the integral), summation (the last Gregory
 correction used) and truncation (the majorant bound beyond y_max).  If the
 total misses the tolerance, every panel is split once more and the sum is
-repeated, up to three levels.
+repeated, up to three levels (:func:`.quadrature.refine`).
 
 Free energy and pressure come from the same pass:
 
@@ -60,12 +60,12 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import CONSTANTS, ZETA3
-from .errors import ConvergenceError, DomainError
-from .quadrature import L0_EDGES, kronrod_rule, split_edges
+from .errors import DomainError
+from .quadrature import L0_EDGES, kronrod_rule, refine, split_edges
 
 # The l = 0 term uses the graded L0_EDGES; terms with l >= 1 are analytic in y
-# and use the plain set.
-_LK_EDGES = (0.0, 0.0625, 0.25, 1.0, 2.0, 3.5, 5.5, 8.0, 12.0, 17.0, 23.0, 31.0, 40.0)
+# and use the same panels without the grading below y = 0.0625.
+_LK_EDGES = (0.0,) + L0_EDGES[5:]
 # First L: terms l < L are summed exactly, the rest by the tail integral.
 _EXACT_TERMS = 16
 # Gregory coefficients G_1 .. G_8 (1/ln(1+x) - 1/x = sum_k G_(k+1) x^k): the
@@ -150,9 +150,7 @@ def _rule(level):
     """Cached rule on L0_EDGES and _LK_EDGES, every panel split ``level - 1`` times."""
     parts = []
     for edges in (L0_EDGES, _LK_EDGES):
-        for _ in range(level - 1):
-            edges = split_edges(edges)
-        nodes, kronrod, gauss = kronrod_rule(edges)
+        nodes, kronrod, gauss = kronrod_rule(split_edges(edges, level - 1))
         parts += [nodes, np.stack((kronrod, gauss))]
     return _Rule(*parts)
 
@@ -243,9 +241,7 @@ def _eta_edges(start, stop, level):
         edges.append(2.0 * edges[-1])
     edges += [e for e in _ETA_EDGES if edges[-1] < e < stop - 1.0]
     edges.append(stop)
-    for _ in range(level - 1):
-        edges = split_edges(edges)
-    return edges
+    return split_edges(edges, level - 1)
 
 
 def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_pressure):
@@ -315,29 +311,35 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
     return finish(sums, 0.0, np.zeros(2), end * y_step, end)
 
 
-def _evaluate(z, temperature, model, config, l0_model, want_pressure):
+def _evaluate(z, temperature, model, config, l0_model, provenance, want_pressure):
+    """The LifshitzResult, or the free energy alone unless ``want_pressure``."""
     if not 0.0 < z < math.inf:
         raise DomainError("separation must be positive and finite")
     if not 0.0 < temperature < math.inf:
         raise DomainError("temperature must be positive and finite")
-    tol = config.rel_tolerance
-    for level in (1, 2, 3):
-        sums, parts, count, share = _matsubara_sum(z, temperature, model, l0_model, tol,
-                                                   level, want_pressure)
+    prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
+
+    def evaluate(level):
+        sums, parts, count, share = _matsubara_sum(z, temperature, model, l0_model,
+                                                   config.rel_tolerance, level, want_pressure)
         estimate = sum(parts)
-        if estimate <= tol:
-            break
-    sum_f, sum_p = (float(value) for value in sums[:, 0])
-    return sum_f, sum_p, count, estimate, float(share)
+        sum_f, sum_p = (float(value) for value in sums[:, 0])
+        if not want_pressure:
+            return prefactor * sum_f, estimate
+        result = LifshitzResult(
+            z=z,
+            temperature=temperature,
+            model_tag=model.tag,
+            free_energy_per_area=prefactor * sum_f,
+            pressure=-prefactor / z * sum_p,
+            terms_used=count,
+            quadrature_error_estimate=estimate,
+            zero_frequency_share=float(share),
+            provenance=provenance,
+        )
+        return result, estimate
 
-
-def _converged(value, estimate, config):
-    """``value`` if ``estimate`` meets the tolerance, else ConvergenceError carrying it."""
-    if not estimate <= config.rel_tolerance:
-        raise ConvergenceError(f"quadrature did not reach tolerance {config.rel_tolerance:g} "
-                               f"(achieved {estimate:g})", best_estimate=value,
-                               achieved_tolerance=estimate)
-    return value
+    return refine(evaluate, 3, config.rel_tolerance, "quadrature")[0]
 
 
 def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):
@@ -372,31 +374,12 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
     provenance = ""
     if zero_frequency_model is not None and zero_frequency_model is not model:
         provenance = f"mixed[xi>0:{model.tag},l0:{l0_model.tag}]"
-
-    sum_f, sum_p, n_terms, estimate, share = _evaluate(
-        z, temperature, model, config, l0_model, want_pressure=True
-    )
-    prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
-    result = LifshitzResult(
-        z=z,
-        temperature=temperature,
-        model_tag=model.tag,
-        free_energy_per_area=prefactor * sum_f,
-        pressure=-prefactor / z * sum_p,
-        terms_used=n_terms,
-        quadrature_error_estimate=estimate,
-        zero_frequency_share=share,
-        provenance=provenance,
-    )
-    return _converged(result, estimate, config)
+    return _evaluate(z, temperature, model, config, l0_model, provenance, want_pressure=True)
 
 
 def _free_energy_value(z, temperature, model, config=DEFAULT_CONFIG):
     """Free energy per unit area only; skips the pressure integrand."""
-    sum_f, _, _, estimate, _ = _evaluate(z, temperature, model, config, model,
-                                         want_pressure=False)
-    return _converged(CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2) * sum_f, estimate,
-                      config)
+    return _evaluate(z, temperature, model, config, model, "", want_pressure=False)
 
 
 def pressure(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):

@@ -20,17 +20,17 @@ import math
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import ConvergenceError, DomainError, ExtrapolationError, PrescriptionError
-from .quadrature import kronrod_rule, kronrod_sum, split_edges
+from .errors import DomainError, ExtrapolationError, PrescriptionError
+from .quadrature import kronrod_rule, kronrod_sum, refine, split_edges
 from .reflection import ReflectionPair, fresnel_q, impedance_q
 # the validated (xi, k_perp) forms stay importable here, where perfbench/tracer.py
 # and perfbench/tests look them up
 from .reflection import fresnel_reflection, impedance_reflection  # noqa: F401
 
 #: Relative tolerance of the dispersion integral behind eps_from_table, and the
-#: panel splits allowed to reach it.
+#: refinement levels allowed to reach it (up to four splits of every panel).
 _DISPERSION_REL_TOL = 1e-6
-_DISPERSION_SPLITS = 4
+_DISPERSION_LEVELS = 5
 
 
 def matsubara_frequency(index, temperature):
@@ -282,33 +282,26 @@ class OpticalTable:
         object.__setattr__(self, "im_eps", im_eps)
 
 
-def _grid_dispersion_integral(xi, table):
+def _grid_dispersion_integral(xi, table, level):
     """Integral of omega * Im eps / (omega^2 + xi^2) over the tabulated range.
 
     Performed in log frequency with the tabulated absorption interpolated
-    linearly in log omega, on one Kronrod panel per table interval; panels are
-    split until the estimate |K - G| is within ``_DISPERSION_REL_TOL`` of the
-    result for every requested xi, at most ``_DISPERSION_SPLITS`` times.
-    Returns the integrals and the relative tolerance achieved.
+    linearly in log omega, on one Kronrod panel per table interval split
+    ``level - 1`` times.  Returns the integrals and the largest relative
+    error estimate |K - G| / |K| over the requested xi.
     """
     u = np.log(table.omega)
-    edges = u
-    for _ in range(_DISPERSION_SPLITS + 1):
-        nodes_u, kronrod, gauss = kronrod_rule(edges)
-        omega2 = np.exp(nodes_u) ** 2
-        # integrand in u: omega^2 * Im eps / (omega^2 + xi^2), one block-sized array
-        numerator = omega2 * np.interp(nodes_u, u, table.im_eps)
-        result, error = np.empty(xi.size), np.empty(xi.size)
-        for start in range(0, xi.size, 16):
-            block = slice(start, start + 16)
-            kernel = omega2 + xi[block, None] ** 2
-            np.divide(numerator, kernel, out=kernel)
-            result[block], error[block] = kronrod_sum(kernel, kronrod, gauss)
-        achieved = np.max(error / np.maximum(np.abs(result), 1e-300))
-        if achieved <= _DISPERSION_REL_TOL:
-            break
-        edges = split_edges(edges)
-    return result, achieved
+    nodes_u, kronrod, gauss = kronrod_rule(split_edges(u, level - 1))
+    omega2 = np.exp(nodes_u) ** 2
+    # integrand in u: omega^2 * Im eps / (omega^2 + xi^2), one block-sized array
+    numerator = omega2 * np.interp(nodes_u, u, table.im_eps)
+    result, error = np.empty(xi.size), np.empty(xi.size)
+    for start in range(0, xi.size, 16):
+        block = slice(start, start + 16)
+        kernel = omega2 + xi[block, None] ** 2
+        np.divide(numerator, kernel, out=kernel)
+        result[block], error[block] = kronrod_sum(kernel, kronrod, gauss)
+    return result, float(np.max(error / np.maximum(np.abs(result), 1e-300)))
 
 
 def _drude_tail_integral(xi, rule, omega_min):
@@ -339,7 +332,8 @@ def eps_from_table(xi, table):
     integrated with the embedded Gauss-Kronrod pair, one panel per table
     interval: the Kronrod sum is the result and |Kronrod - Gauss|, floored at
     the rounding level, its error estimate, which must stay within a relative
-    1e-6 at every xi; panels are split in two until it does.
+    1e-6 at every xi.  :func:`.quadrature.refine` splits every panel in two
+    until it does, at most four times.
 
     Parameters
     ----------
@@ -357,36 +351,36 @@ def eps_from_table(xi, table):
     ExtrapolationError
         If the table has no extrapolation rule but the region below the grid
         would contribute more than 1% of the integral (estimated by a 1/omega
-        continuation of the lowest tabulated absorption).
+        continuation of the lowest tabulated absorption); checked at each
+        refinement level before a finer one is evaluated.
     ConvergenceError
-        If the dispersion integral misses its tolerance after four splits;
-        carries the best estimate of eps(i*xi) and the tolerance achieved.
+        "dispersion integral did not reach tolerance 1e-06 (achieved ...)"
+        if four splits do not reach it; carries the last estimate of
+        eps(i*xi) and the tolerance it achieved.
     """
     xi_in = _imaginary_frequency(xi)
     xi_arr = np.ravel(xi_in).astype(float)
 
-    grid_part, achieved = _grid_dispersion_integral(xi_arr, table)
     omega_min = table.omega[0]
     rule = table.extrapolation
     tail = _drude_tail_integral(xi_arr, rule, omega_min) if isinstance(rule, DrudeTail) else 0.0
-    if rule is None:
-        # probe with a 1/omega continuation of the lowest sample
-        probe = table.im_eps[0] * omega_min * np.arctan(omega_min / xi_arr) / xi_arr
-        total = grid_part + probe
-        mask = total > 0.0
-        if np.any(probe[mask] > 0.01 * total[mask]):
-            raise ExtrapolationError(
-                "extrapolation required: below-grid absorption would exceed "
-                "1% of the dispersion integral"
-            )
 
-    value = 1.0 + (2.0 / np.pi) * (grid_part + tail)
-    value = value.reshape(xi_in.shape) if xi_in.ndim else float(value[0])
-    if achieved > _DISPERSION_REL_TOL:
-        raise ConvergenceError(
-            f"dispersion integral did not reach tolerance {_DISPERSION_REL_TOL:g} "
-            f"(achieved {achieved:.3g})", best_estimate=value, achieved_tolerance=float(achieved))
-    return value
+    def evaluate(level):
+        grid_part, achieved = _grid_dispersion_integral(xi_arr, table, level)
+        if rule is None:
+            # probe with a 1/omega continuation of the lowest sample
+            probe = table.im_eps[0] * omega_min * np.arctan(omega_min / xi_arr) / xi_arr
+            total = grid_part + probe
+            mask = total > 0.0
+            if np.any(probe[mask] > 0.01 * total[mask]):
+                raise ExtrapolationError(
+                    "extrapolation required: below-grid absorption would exceed "
+                    "1% of the dispersion integral"
+                )
+        value = 1.0 + (2.0 / np.pi) * (grid_part + tail)
+        return (value.reshape(xi_in.shape) if xi_in.ndim else float(value[0])), achieved
+
+    return refine(evaluate, _DISPERSION_LEVELS, _DISPERSION_REL_TOL, "dispersion integral")[0]
 
 
 def drude_absorption(omega, omega_p, gamma):

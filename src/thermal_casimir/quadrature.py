@@ -1,11 +1,10 @@
-"""Composite embedded Gauss-Kronrod panels: the library's one quadrature rule.
+"""Composite embedded Gauss-Kronrod panels: the library's one quadrature path.
 
 The library integrates smooth, exponentially decaying integrands over finite
 panels.  :func:`kronrod_rule` maps the nested 7-point Gauss / 15-point Kronrod
 pair (QUADPACK, Piessens et al. 1983) onto every panel of a sequence of edges:
 one evaluation of the integrand on the 15 Kronrod nodes yields both sums.  The
-Kronrod sum is the result and the Gauss sum checks it; refinement splits every
-panel in two (:func:`split_edges`).
+Kronrod sum is the result and the Gauss sum checks it.
 
 :func:`kronrod_sum` forms the result and its error estimate |K - G|, floored at
 the rounding level 50 eps sum w_K |f| below which the two sums cannot be told
@@ -14,11 +13,18 @@ apart.  The zero-temperature Drude entropy integral
 tabulated optical data (:func:`.materials.eps_from_table`) use it; the
 Matsubara engine (:mod:`.lifshitz`) takes the same pair and forms its own
 estimate from the signed Kronrod - Gauss difference.
+
+All three refine alike (:func:`refine`): each level splits every panel in two
+once more (:func:`split_edges`), the first level whose relative estimate meets
+the tolerance is the result, and a miss raises ConvergenceError "<what> did not
+reach tolerance <tol> (achieved <estimate>)" carrying the last level's pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 #: Panel edges in y for integrands that behave like y*ln(y) at the origin (the
 #: l = 0 Matsubara term of a perfect reflector, the zero-temperature Drude
@@ -60,14 +66,34 @@ _BASE_G[1:15:2] = _WG7 + _WG7[-2::-1]
 _ROUNDING = 50.0 * np.finfo(float).eps
 
 
-def split_edges(edges):
-    """Insert the midpoint of every panel, doubling the panel count."""
+def split_edges(edges, times=1):
+    """Insert the midpoint of every panel ``times`` times, doubling the panel count each time."""
     edges = np.asarray(edges, dtype=float)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    out = np.empty(edges.size + mids.size)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
+    for _ in range(times):
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        out = np.empty(edges.size + mids.size)
+        out[0::2] = edges
+        out[1::2] = mids
+        edges = out
+    return edges
+
+
+def refine(evaluate, levels, tolerance, what):
+    """First (value, relative error) of ``evaluate(level)`` that meets ``tolerance``.
+
+    ``evaluate(level)`` integrates with every panel split ``level - 1`` times
+    and returns the value with its achieved relative error.  Levels 1 ..
+    ``levels`` are tried in turn, none past the first that meets the
+    tolerance; a NaN error meets none.  If no level does, ConvergenceError
+    names ``what`` and carries the last level's value and error.
+    """
+    for level in range(1, levels + 1):
+        value, achieved = evaluate(level)
+        if achieved <= tolerance:
+            return value, achieved
+    raise ConvergenceError(
+        f"{what} did not reach tolerance {tolerance:g} (achieved {achieved:.3g})",
+        best_estimate=value, achieved_tolerance=achieved)
 
 
 def kronrod_rule(edges):

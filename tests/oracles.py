@@ -243,3 +243,54 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
     prefactor = sc.k * temperature / (8.0 * np.pi * z**2)
     return (prefactor * math.fsum(np.concatenate(terms_f)),
             -prefactor / z * math.fsum(np.concatenate(terms_p)))
+
+
+# ---------------------------------------------------------------------------
+# 30-digit ideal-metal Matsubara sum
+# ---------------------------------------------------------------------------
+
+
+def ideal_metal_mp(z, temperature, direct=16, corrections=6):
+    """Ideal-metal free energy per area and pressure, summed at 30 digits.
+
+    With r = 1 in both polarizations the Matsubara term at a = l * y_step
+    is a closed form in Li_q(e^-a):
+
+        2 Int_a^inf y ln(1 - e^-y) dy = -2 [a Li_2 + Li_3]
+        2 Int_a^inf y^2 e^-y / (1 - e^-y) dy = 2 [a^2 Li_1 + 2 a Li_2 + 2 Li_3]
+
+    Terms l < ``direct`` are added one by one (l = 0 with weight 1/2); the
+    rest by Euler-Maclaurin, whose integral and odd derivatives at
+    a = direct * y_step are closed forms as well, since
+    d/da Li_q(e^-a) = -Li_(q-1)(e^-a).  The first omitted correction is of
+    order y_step (2 pi direct)^(-2 corrections) relative to a sum of order
+    1 / y_step.  Returns (F, P) in J/m^2 and Pa as mpf.
+    """
+    with mp.workdps(30):
+        z, temperature = mp.mpf(z), mp.mpf(temperature)
+        y_step = (4 * mp.pi * mp.mpf(sc.k) * temperature * z
+                  / (mp.mpf(sc.hbar) * mp.mpf(sc.c)))
+
+        # a term is sum c a^p Li_q(e^-a) over its (c, p, q)
+        def derivative(parts, a, order):
+            return mp.fsum(c * mp.binomial(order, i) * mp.ff(p, i) * a ** (p - i)
+                           * (-1) ** (order - i) * mp.polylog(q - order + i, mp.exp(-a))
+                           for c, p, q in parts for i in range(min(order, p) + 1))
+
+        def integral(parts, a):
+            # over [a, inf), by parts p times
+            return mp.fsum(c * mp.ff(p, i) * a ** (p - i) * mp.polylog(q + 1 + i, mp.exp(-a))
+                           for c, p, q in parts for i in range(p + 1))
+
+        sums = []
+        for parts in (((-2, 1, 2), (-2, 0, 3)), ((2, 2, 1), (4, 1, 2), (4, 0, 3))):
+            start = direct * y_step
+            total = mp.fsum(c * mp.zeta(q) for c, p, q in parts if p == 0) / 2
+            total += mp.fsum(derivative(parts, l * y_step, 0) for l in range(1, direct))
+            total += integral(parts, start) / y_step + derivative(parts, start, 0) / 2
+            total -= mp.fsum(mp.bernoulli(2 * k) / mp.factorial(2 * k) * y_step ** (2 * k - 1)
+                             * derivative(parts, start, 2 * k - 1)
+                             for k in range(1, corrections + 1))
+            sums.append(total)
+        prefactor = mp.mpf(sc.k) * temperature / (8 * mp.pi * z**2)
+        return prefactor * sums[0], -prefactor / z * sums[1]

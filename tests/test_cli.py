@@ -149,13 +149,18 @@ def test_non_finite_separation_or_temperature_exits_two(tmp_path, capsys, argv):
     # an input path that cannot be read as a file
     ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--table-file", "{tmp}"),
     ("entropy", "--z-um", "1", "--model", "drude", "--gamma-map", ""),
+    # an output path in a directory that does not exist
+    ("pft", "--kind", "cylinder", "--z-um", "0.1", "--R-um", "100",
+     "--out", "{tmp}/missing/dir/x.csv"),
 ])
 def test_bad_grid_or_unreadable_path_exits_two(tmp_path, capsys, argv):
     (tmp_path / "bound.csv").write_text(BOUND_CSV)
     (tmp_path / "geometry.json").write_text(GEOMETRY_JSON)
-    code, out = run(tmp_path, *(arg.format(tmp=tmp_path) for arg in argv))
-    assert code == 2
-    assert not out.exists()
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert not Path(argv[-1]).exists()
     assert capsys.readouterr().err.startswith("error: ")
 
 

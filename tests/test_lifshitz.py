@@ -3,6 +3,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from thermal_casimir.constants import CONSTANTS
 from thermal_casimir.errors import ConvergenceError, DomainError
 from thermal_casimir.reflection import ReflectionPair
 
-from oracles import (finite_difference_pressure, integrands_mp, lifshitz_sum_quad,
-                     matsubara_sum_direct)
+from oracles import (finite_difference_pressure, ideal_metal_mp, integrands_mp,
+                     lifshitz_sum_quad, matsubara_sum_direct)
 
 
 class VacuumModel(tc.MaterialResponse):
@@ -397,6 +398,33 @@ def _assert_matches_direct_sum(tag, z, temperature, tolerance):
     assert result.quadrature_error_estimate <= tolerance
     assert result.free_energy_per_area == pytest.approx(direct_f, rel=0.01 * tolerance, abs=0.0)
     assert result.pressure == pytest.approx(direct_p, rel=0.01 * tolerance, abs=0.0)
+
+
+class TestIdealMetalOracle:
+    @pytest.mark.parametrize("z, temperature", [(1e-6, 300.0), (1e-7, 30.0), (1e-6, 1.0),
+                                                (1e-6, 0.01), (1e-9, 1e-3)])
+    def test_matches_the_30_digit_polylogarithm_sum(self, ideal_metal, z, temperature):
+        # at 1 K and below thousands of terms sit at a = l y_step near 0, where
+        # a Li_2 and Li_3 cancel to first order in a; the oracle works in 30 digits
+        tol = 1e-11
+        result = tc.free_energy(z, temperature, ideal_metal, tc.EvaluationConfig(tol))
+        exact_f, exact_p = ideal_metal_mp(z, temperature)
+        for value, exact in ((result.free_energy_per_area, exact_f), (result.pressure, exact_p)):
+            error = abs(value / exact - 1)
+            assert error <= tol
+            assert error <= result.quadrature_error_estimate
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.01])
+    def test_oracle_reaches_the_low_temperature_expansion(self, temperature):
+        # F = E0 [1 + 45 zeta(3) / pi^3 t^3 - t^4], t = 2 z k_B T / (hbar c), up
+        # to terms of order exp(-pi / t), far below 1e-20 here
+        z = 1e-6
+        with mp.workdps(30):
+            t = 2 * mp.mpf(z) * mp.mpf(CONSTANTS.k_B) * temperature / (
+                mp.mpf(CONSTANTS.hbar) * mp.mpf(CONSTANTS.c))
+            e0 = -mp.pi**2 * mp.mpf(CONSTANTS.hbar) * mp.mpf(CONSTANTS.c) / (720 * mp.mpf(z) ** 3)
+            expansion = e0 * (1 + 45 * mp.zeta(3) / mp.pi**3 * t**3 - t**4)
+            assert abs(ideal_metal_mp(z, temperature)[0] / expansion - 1) < 1e-20
 
 
 class TestDirectSum:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from thermal_casimir.quadrature import kronrod_rule, kronrod_sum
+from thermal_casimir.errors import ConvergenceError
+from thermal_casimir.quadrature import kronrod_rule, kronrod_sum, refine, split_edges
 
 EDGES = (0.0, 0.25, 1.0, 3.0, 7.5)
 
@@ -76,3 +79,58 @@ class TestKronrodSum:
         # a polynomial of degree 1 is exact in both sums; the estimate stays at
         # 50 eps times the integral of |f|, never at zero
         np.testing.assert_allclose(error, 50.0 * np.finfo(float).eps * 1.5, rtol=1e-12)
+
+
+class TestSplitEdges:
+    def test_zero_splits_leave_the_edges(self):
+        edges = np.array(EDGES)
+        assert split_edges(edges, 0) is edges
+        np.testing.assert_array_equal(split_edges(EDGES, 0), edges)
+
+    @pytest.mark.parametrize("times", [1, 2, 3, 5])
+    def test_n_splits_are_n_single_splits(self, times):
+        single = EDGES
+        for _ in range(times):
+            single = split_edges(single)
+        split = split_edges(EDGES, times)
+        assert split.size == (len(EDGES) - 1) * 2**times + 1
+        assert split.tobytes() == single.tobytes()
+
+
+class TestRefine:
+    def _recording(self, pairs):
+        levels = []
+
+        def evaluate(level):
+            levels.append(level)
+            return pairs[level - 1]
+
+        return evaluate, levels
+
+    def test_returns_the_first_level_that_meets_the_tolerance(self):
+        evaluate, levels = self._recording([(1.0, 1e-3), (2.0, 1e-7), (3.0, 1e-9), (4.0, 0.0)])
+        assert refine(evaluate, 4, 1e-6, "test integral") == (2.0, 1e-7)
+        assert levels == [1, 2]
+
+    def test_a_tolerance_met_exactly_is_met(self):
+        evaluate, levels = self._recording([(1.0, 1e-6)])
+        assert refine(evaluate, 3, 1e-6, "test integral") == (1.0, 1e-6)
+        assert levels == [1]
+
+    def test_a_miss_raises_with_the_last_pair(self):
+        evaluate, levels = self._recording([(1.0, 1e-3), (2.0, 1e-4), (3.0, 2e-5)])
+        with pytest.raises(ConvergenceError,
+                           match=r"^test integral did not reach tolerance 1e-06 "
+                                 r"\(achieved 2e-05\)$") as info:
+            refine(evaluate, 3, 1e-6, "test integral")
+        assert levels == [1, 2, 3]
+        assert info.value.best_estimate == 3.0
+        assert info.value.achieved_tolerance == 2e-5
+
+    def test_a_nan_error_never_meets_the_tolerance(self):
+        evaluate, levels = self._recording([(1.0, math.nan), (2.0, math.nan)])
+        with pytest.raises(ConvergenceError, match="achieved nan") as info:
+            refine(evaluate, 2, 1e-6, "test integral")
+        assert levels == [1, 2]
+        assert info.value.best_estimate == 2.0
+        assert math.isnan(info.value.achieved_tolerance)

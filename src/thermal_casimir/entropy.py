@@ -1,10 +1,14 @@
 """Entropy of the fluctuating field and Nernst-theorem diagnostics.
 
-The entropy S(z, T) = -dF/dT is obtained by Richardson-refined central
-differences of the Lifshitz free energy.  A scan over a descending
-temperature grid, extrapolated to T = 0 with low-order polynomial fits,
-classifies each prescription as satisfying or violating the Nernst heat
-theorem, with an inconclusive band in between.
+The entropy S(z, T) = -dF/dT comes from one pass of the Matsubara engine
+(:func:`.lifshitz.entropy_pass`): the free energy at T(1 + 1e-3) and
+T(1 - 1e-3) on one shared set of Matsubara nodes, whose exact central
+difference is S, with an absolute error figure (quadrature and summation
+parts of the difference sums, the bound on the entropy terms past the cut,
+a rounding floor and the step error).  A scan over a descending temperature
+grid, extrapolated to T = 0 with low-order polynomial fits, classifies each
+prescription as satisfying or violating the Nernst heat theorem, with an
+inconclusive band in between.
 """
 
 from __future__ import annotations
@@ -16,25 +20,21 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lifshitz
 from .constants import CONSTANTS, ZETA3
 from .errors import DomainError
-from .lifshitz import EvaluationConfig, _free_energy_value
+from .lifshitz import EvaluationConfig
 from .materials import Drude, PowerLawGamma
 from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, refine, split_edges
 
-#: Engine tolerance used for entropy differences; the free-energy differences
-#: being differentiated are three to four orders below the free energy itself.
+#: Engine tolerance of the free energy in an entropy pass: it sets the
+#: refinement level and the cut of F.  The difference of the two free energies,
+#: three to four orders below F itself, has its own cut and error figure.
 ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 
 #: Verdict thresholds in units of the extrapolation uncertainty.
 VIOLATION_THRESHOLD = 5.0
 CLEARANCE_THRESHOLD = 1.0
-
-#: Richardson refinement of the entropy difference quotient: it has settled when
-#: one halving of the step changes the estimate by less than
-#: ``_RICHARDSON_REL_CHANGE``, and stops unsettled after ``_MAX_REFINEMENTS``.
-_RICHARDSON_REL_CHANGE = 1e-3
-_MAX_REFINEMENTS = 4
 
 #: Relative tolerance of the zero-temperature entropy integral, and the
 #: refinement levels allowed to reach it (up to six splits of every panel).
@@ -46,48 +46,35 @@ _FIT_VARIANTS = ((2, 12), (2, 9), (2, 6), (1, 5))
 
 
 class EntropyEstimate(NamedTuple):
-    """Finite-difference entropy with its convergence status."""
+    """Entropy with its absolute error figure and whether that error is small.
+
+    ``converged`` is true when ``error`` is at most 1e-3 |value|; a value
+    within its error of zero is not converged.
+    """
 
     value: float
     converged: bool
-    refinements: int
+    error: float
 
 
 def entropy(z, temperature, model, config=None, *, full_output=False):
     """Entropy per unit area S(z, T) = -dF/dT in J/(K m^2).
 
-    Central differences with step h = T/50 below 1 K and max(T/50, 0.5 K)
-    from 1 K up, Richardson-refined by halving the step until the estimate
-    changes by less than a relative 1e-3, at most four times.  When
-    refinement fails to settle, the best value is still returned and flagged
-    through ``full_output``.
+    One engine pass (:func:`.lifshitz.entropy_pass`) evaluates the free energy
+    at T(1 + 1e-3) and T(1 - 1e-3) on one shared set of Matsubara nodes and
+    returns their exact central difference with an absolute error figure:
+    the quadrature and summation parts of the difference sums, the bound on
+    the terms past the cut, a rounding floor and the step error.  The engine
+    runs at ``config`` (default ``ENTROPY_CONFIG``) for the free energy.
+    With ``full_output`` an :class:`EntropyEstimate` is returned, converged
+    when the error is at most 1e-3 |S|.  Raises DomainError unless z and T
+    are positive and finite, and ConvergenceError if the free energy misses
+    its tolerance at every refinement level.
     """
-    if not (0.0 < z < np.inf and 0.0 < temperature < np.inf):
-        raise DomainError("separation and temperature must be positive and finite")
-    h = temperature / 50.0 if temperature < 1.0 else max(temperature / 50.0, 0.5)
     cfg = config if config is not None else ENTROPY_CONFIG
-
-    def derivative(step):
-        upper = _free_energy_value(z, temperature + step, model, cfg)
-        lower = _free_energy_value(z, temperature - step, model, cfg)
-        return (upper - lower) / (2.0 * step)
-
-    previous = derivative(h)
-    best = previous
-    converged = False
-    refinements = 0
-    for k in range(1, _MAX_REFINEMENTS + 1):
-        refinements = k
-        h *= 0.5
-        current = derivative(h)
-        richardson = (4.0 * current - previous) / 3.0
-        change = abs(richardson - best) / max(abs(richardson), 1e-300)
-        best = richardson
-        previous = current
-        if change <= _RICHARDSON_REL_CHANGE:
-            converged = True
-            break
-    estimate = EntropyEstimate(value=-best, converged=converged, refinements=refinements)
+    value, error = lifshitz.entropy_pass(z, temperature, model, cfg)
+    converged = error <= lifshitz._ENTROPY_REL_ERROR * abs(value)
+    estimate = EntropyEstimate(value=value, converged=converged, error=error)
     return estimate if full_output else estimate.value
 
 

@@ -46,6 +46,14 @@ with w_0 = 1/2, w_l = 1 otherwise, and both polarizations summed inside the
 brackets.  The pressure integrand is the analytic z-derivative taken before
 the change of variables, so no finite differencing is involved.
 
+The engine's other mode is the entropy pass (:func:`entropy_pass`).  It makes
+L, the gate and the cut once, and takes every F term integral (exact terms,
+Gregory terms, tail nodes at continuous l) at T(1 + delta) and T(1 - delta)
+on the same l values, y-offsets and l-space weights.  The l = 0 term does
+not depend on T and enters only through the k_B T prefactor.  The result is
+S = -(F+ - F-) / (2 delta T), the exact central difference of one fixed
+discretization, with its own error figure.
+
 Everything here is a pure function of immutable inputs, reduced in a fixed
 order, so results are bit-reproducible for a fixed configuration.
 """
@@ -82,6 +90,14 @@ _ETA_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 _SUM_SHARE = 1e-2
 # Integrand nodes evaluated at once; bounds the working set of a long sum.
 _CHUNK_NODES = 1 << 13
+# Refinement levels tried: every panel is split up to twice.
+_LEVELS = 3
+# Relative temperature step delta of the entropy pass, the rounding level of
+# its sums (D carries at most about _ENTROPY_ROUNDING |F| / delta of rounding)
+# and the share of |S| its error must reach before a level is final.
+_ENTROPY_STEP = 1e-3
+_ENTROPY_ROUNDING = 4.0 * np.finfo(float).eps
+_ENTROPY_REL_ERROR = 1e-3
 
 
 def _gregory_weights():
@@ -196,38 +212,61 @@ def _positive_terms(z, temperature, model, indices, y_step, rule, want_pressure)
     return term_f, term_p
 
 
-def _terms(z, temperature, model, indices, y_step, rule, want_pressure):
-    """Term integrals, shape (F/P, Kronrod/Gauss, index), at most _CHUNK_NODES nodes at once."""
+def _terms(z, temperature, model, indices, y_step, rule, entropy):
+    """Term integrals, shape (quantity, Kronrod/Gauss, index), at most _CHUNK_NODES nodes at once.
+
+    The quantities are F and P, or with ``entropy`` the F terms at T(1 + delta)
+    and T(1 - delta) combined into their mean and their difference quotient
+    ((1 + delta) f+ - (1 - delta) f-) / (2 delta), both on the same l values and
+    y-offsets.
+    """
     step = max(1, _CHUNK_NODES // rule.lk_nodes.size)
-    parts = [np.stack(_positive_terms(z, temperature, model, indices[start : start + step],
-                                      y_step, rule, want_pressure))
-             for start in range(0, indices.size, step)]
+
+    def rows(part):
+        if not entropy:
+            return np.stack(_positive_terms(z, temperature, model, part, y_step, rule, True))
+        upper, lower = (_positive_terms(z, scale * temperature, model, part, scale * y_step,
+                                        rule, False)[0]
+                        for scale in (1.0 + _ENTROPY_STEP, 1.0 - _ENTROPY_STEP))
+        return np.stack((0.5 * (upper + lower),
+                         ((1.0 + _ENTROPY_STEP) * upper - (1.0 - _ENTROPY_STEP) * lower)
+                         / (2.0 * _ENTROPY_STEP)))
+
+    parts = [rows(indices[start : start + step]) for start in range(0, indices.size, step)]
     return np.concatenate(parts, axis=2) if parts else np.zeros((2, 2, 0))
 
 
-def _majorant_tail(a, y_step):
-    """Bounds on the summed |F| and |P| terms with y_l >= a (a > 0).
+def _majorant_tail(a, y_step, entropy=False):
+    """Bounds on the summed |F| and |P| terms, or |F| and entropy terms, with y_l >= a.
 
-    One ideal-metal term is at most m(a) = 2 e^-a / (1 - e^-a) times (a + 1)
+    One ideal-metal term is at most e(a) = 2 e^-a / (1 - e^-a) times (a + 1)
     for F and (a^2 + 2a + 2) for P; the sum over l is at most the first term
-    plus the integral of m over [a, inf) divided by y_step.  The exponent is
-    capped below overflow, which only loosens the bound.
+    plus the integral of the bound over [a, inf) divided by y_step.  An F term
+    depends on T only through a = l y_step, so T d/dT of it is a times its
+    a-derivative 2 a |ln(1 - e^-a)| <= a e(a); the entropy term f + T df/dT is
+    therefore at most (a + 1)^2 e(a), which falls for a >= 1, so the entropy
+    bound needs a >= 1 (the others hold for a > 0).  The exponent is capped
+    below overflow, which only loosens the bound.
     """
     scale = 2.0 / math.expm1(min(a, 700.0))
+    if entropy:
+        return (scale * (a + 1.0 + (a + 2.0) / y_step),
+                scale * ((a + 1.0) ** 2 + (a * a + 4.0 * a + 5.0) / y_step))
     return (scale * (a + 1.0 + (a + 2.0) / y_step),
             scale * (a * a + 2.0 * a + 2.0 + (a * a + 4.0 * a + 6.0) / y_step))
 
 
-def _cut(y_step, targets):
+def _cut(y_step, targets, entropy=False):
     """y (>= 1) where the majorant tail of each quantity is within its target.
 
-    ``targets`` holds one positive target per quantity.  The log of the
-    bound falls with slope close to -1, so each step moves by the log excess.
+    ``targets`` holds one positive target per quantity of
+    :func:`_majorant_tail`.  The log of the bound falls with slope close to
+    -1, so each step moves by the log excess.
     """
     a = 1.0
     for _ in range(20):
         excess = max(math.log(bound / target)
-                     for bound, target in zip(_majorant_tail(a, y_step), targets))
+                     for bound, target in zip(_majorant_tail(a, y_step, entropy), targets))
         a = max(1.0, a + excess)
         if a == 1.0 or abs(excess) < 1e-3:
             break
@@ -244,37 +283,47 @@ def _eta_edges(start, stop, level):
     return split_edges(edges, level - 1)
 
 
-def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_pressure):
-    """Matsubara sums of F and P with their error parts, at one refinement level.
+def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, entropy=False):
+    """Matsubara sums of two quantities with their error parts, at one refinement level.
 
-    Returns the (F/P, Kronrod/Gauss) sums, the (quadrature, summation,
-    truncation) relative error parts, each the larger over F and P, the
-    number of terms evaluated (exact terms plus integral nodes) and the
-    share of F from l = 0.  The P sums are zero unless ``want_pressure``.
+    The quantities are F and P, or with ``entropy`` the mean of the F sums at
+    T(1 +- delta) and their difference quotient D (see :func:`_terms`).  L,
+    the gate and the cut are set once, so both temperatures share one
+    discretization.  Returns the (quantity, Kronrod/Gauss) sums, the absolute
+    (quadrature, summation, truncation) error parts, each with one entry per
+    quantity, the number of terms evaluated (exact terms plus integral nodes)
+    and the share of F from l = 0.
     """
     rule = _rule(level)
     y_step = 4.0 * np.pi * CONSTANTS.k_B * temperature * z / (CONSTANTS.hbar * CONSTANTS.c)
-    quantities = slice(0, 2 if want_pressure else 1)
+    # the quantities the sum must resolve: F and P, or F alone
+    gated = slice(0, 1) if entropy else slice(0, 2)
 
     def cut_from(sums):
         # every F term is <= 0 and every P term >= 0, so |partial sum| <= |sum|
-        return _cut(y_step, _SUM_SHARE * tolerance * np.abs(sums[quantities, 0]))
+        targets = _SUM_SHARE * tolerance * np.abs(sums[:, 0])
+        if not entropy:
+            return _cut(y_step, targets)
+        # a partial D need not be near the final one, which may cancel to the
+        # rounding floor; a share of that floor bounds the cut of D
+        targets[1] = _SUM_SHARE * _entropy_rounding(sums[0, 0])
+        return _cut(y_step, targets, True)
 
     def terms(indices):
-        return _terms(z, temperature, model, indices, y_step, rule, want_pressure)
+        return _terms(z, temperature, model, indices, y_step, rule, entropy)
 
     def fits(summation, scale):
         # finer panels cannot shrink the Gregory remainder, so it gets a fixed share
-        return np.all(summation <= _SUM_SHARE * tolerance * scale)
+        return np.all((summation <= _SUM_SHARE * tolerance * scale)[gated])
 
     def finish(sums, outer_error, summation, truncated_from, count):
-        scale = np.maximum(np.abs(sums[:, 0]), 1e-300)
-        parts = ((np.abs(sums[:, 0] - sums[:, 1]) + outer_error) / scale, summation / scale,
-                 np.array(_majorant_tail(truncated_from, y_step)) / scale)
-        return (sums, tuple(float(part[quantities].max()) for part in parts), count,
-                zero[0, 0] / sums[0, 0])
+        errors = (np.abs(sums[:, 0] - sums[:, 1]) + outer_error, summation,
+                  np.array(_majorant_tail(truncated_from, y_step, entropy)))
+        return sums, errors, count, zero[0, 0] / sums[0, 0]
 
-    zero = np.stack(_zero_term(z, l0_model, rule, want_pressure))
+    zero_f, zero_p = _zero_term(z, l0_model, rule, not entropy)
+    # the l = 0 term does not depend on T: D takes it through the k_B T prefactor only
+    zero = np.stack((zero_f, zero_f if entropy else zero_p))
     exact, head_end = _EXACT_TERMS, _EXACT_TERMS + len(_GREGORY)
     if zero[0, 0]:
         # the l = 0 term alone may already put the cut below the first Gregory terms
@@ -284,7 +333,7 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
         partial = zero + head.sum(axis=2)
         if not partial[0, 0]:
             # nothing reflects at any evaluated node: the sum is exactly zero
-            return partial, (0.0, 0.0, 0.0), head_end, 0.0
+            return partial, (np.zeros(2),) * 3, head_end, 0.0
         y_max = cut_from(partial)
         end = max(head_end, math.ceil(y_max / y_step))
         if end == head_end or head_end < exact + len(_GREGORY):
@@ -295,7 +344,8 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
         gregory = head[:, :, exact - 1 :]
         summation = np.abs(gregory[:, 0] @ _GREGORY_LAST)
         # |sum| <= |partial| + the majorant of the terms past the head, per quantity
-        if fits(summation, np.abs(partial[:, 0]) + _majorant_tail(head_end * y_step, y_step)):
+        if fits(summation,
+                np.abs(partial[:, 0]) + _majorant_tail(head_end * y_step, y_step, entropy)):
             nodes, kronrod, gauss = kronrod_rule(edges)
             values = terms(nodes / y_step)
             sums = (zero + head[:, :, : exact - 1].sum(axis=2) + gregory @ _GREGORY_WEIGHTS
@@ -311,35 +361,17 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, want_press
     return finish(sums, 0.0, np.zeros(2), end * y_step, end)
 
 
-def _evaluate(z, temperature, model, config, l0_model, provenance, want_pressure):
-    """The LifshitzResult, or the free energy alone unless ``want_pressure``."""
+def _entropy_rounding(mean):
+    """Rounding floor of the difference quotient D of sums whose mean is ``mean``."""
+    return _ENTROPY_ROUNDING * abs(mean) / _ENTROPY_STEP
+
+
+def _check_point(z, temperature):
+    """Reject a separation or temperature that is not positive and finite."""
     if not 0.0 < z < math.inf:
         raise DomainError("separation must be positive and finite")
     if not 0.0 < temperature < math.inf:
         raise DomainError("temperature must be positive and finite")
-    prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
-
-    def evaluate(level):
-        sums, parts, count, share = _matsubara_sum(z, temperature, model, l0_model,
-                                                   config.rel_tolerance, level, want_pressure)
-        estimate = sum(parts)
-        sum_f, sum_p = (float(value) for value in sums[:, 0])
-        if not want_pressure:
-            return prefactor * sum_f, estimate
-        result = LifshitzResult(
-            z=z,
-            temperature=temperature,
-            model_tag=model.tag,
-            free_energy_per_area=prefactor * sum_f,
-            pressure=-prefactor / z * sum_p,
-            terms_used=count,
-            quadrature_error_estimate=estimate,
-            zero_frequency_share=float(share),
-            provenance=provenance,
-        )
-        return result, estimate
-
-    return refine(evaluate, 3, config.rel_tolerance, "quadrature")[0]
 
 
 def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):
@@ -374,12 +406,66 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
     provenance = ""
     if zero_frequency_model is not None and zero_frequency_model is not model:
         provenance = f"mixed[xi>0:{model.tag},l0:{l0_model.tag}]"
-    return _evaluate(z, temperature, model, config, l0_model, provenance, want_pressure=True)
+    _check_point(z, temperature)
+    prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
+
+    def evaluate(level):
+        sums, errors, count, share = _matsubara_sum(z, temperature, model, l0_model,
+                                                    config.rel_tolerance, level)
+        scale = np.maximum(np.abs(sums[:, 0]), 1e-300)
+        estimate = sum(float((part / scale).max()) for part in errors)
+        sum_f, sum_p = (float(value) for value in sums[:, 0])
+        result = LifshitzResult(
+            z=z,
+            temperature=temperature,
+            model_tag=model.tag,
+            free_energy_per_area=prefactor * sum_f,
+            pressure=-prefactor / z * sum_p,
+            terms_used=count,
+            quadrature_error_estimate=estimate,
+            zero_frequency_share=float(share),
+            provenance=provenance,
+        )
+        return result, estimate
+
+    return refine(evaluate, _LEVELS, config.rel_tolerance, "quadrature")[0]
 
 
-def _free_energy_value(z, temperature, model, config=DEFAULT_CONFIG):
-    """Free energy per unit area only; skips the pressure integrand."""
-    return _evaluate(z, temperature, model, config, model, "", want_pressure=False)
+def entropy_pass(z, temperature, model, config=DEFAULT_CONFIG):
+    """Entropy per unit area S = -dF/dT and its absolute error, from one engine pass.
+
+    S = -(F(T+) - F(T-)) / (2 delta T) at T+- = T (1 +- delta): the exact
+    central difference of one discretization, whose level, cut, L and gate
+    are set once from F at T (the mean of both sums), and whose terms are taken
+    at both temperatures on the same l values, y-offsets and l-space weights.
+    The error adds the quadrature and summation parts of the difference sums,
+    the majorant bound on the entropy terms past the cut, the rounding floor of
+    the difference and the step error delta^2 |S|.
+
+    Panels are split once more while F misses ``config.rel_tolerance``, or
+    while the error of S exceeds ``_ENTROPY_REL_ERROR`` |S| and its rounding
+    floor alone does not, up to the last level.  Raises ConvergenceError,
+    carrying the last (S, error) pair, if F misses its tolerance, and
+    DomainError if the separation or the temperature is not positive and
+    finite.
+    """
+    _check_point(z, temperature)
+    prefactor = CONSTANTS.k_B / (8.0 * np.pi * z**2)
+    tolerance = config.rel_tolerance
+
+    def evaluate(level):
+        sums, errors, _, _ = _matsubara_sum(z, temperature, model, model, tolerance, level, True)
+        mean, difference = sums[:, 0]
+        rounding = _entropy_rounding(mean)
+        error = sum(part[1] for part in errors) + rounding + _ENTROPY_STEP**2 * abs(difference)
+        achieved = float(sum(part[0] for part in errors)) / max(abs(mean), 1e-300)
+        # a finer level cannot settle S below its rounding floor
+        target = _ENTROPY_REL_ERROR * abs(difference)
+        if error > target and rounding <= target and level < _LEVELS:
+            achieved = math.inf
+        return (-prefactor * float(difference), prefactor * float(error)), achieved
+
+    return refine(evaluate, _LEVELS, tolerance, "quadrature")[0]
 
 
 def pressure(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_model=None):

@@ -149,6 +149,8 @@ class DrudeParameters:
             raise DomainError("plasma frequency must be positive and finite")
         if not 0.0 <= self.gamma < math.inf:
             raise DomainError("relaxation parameter must be nonnegative and finite")
+        if self.gamma_of_T is not None and not callable(self.gamma_of_T):
+            raise DomainError("gamma_of_T must be None or a callable map T -> gamma")
 
     def relaxation(self, temperature=None):
         """gamma at the given temperature (reference value when no map is set)."""

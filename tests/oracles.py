@@ -250,8 +250,8 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
 # ---------------------------------------------------------------------------
 
 
-def ideal_metal_mp(z, temperature, direct=16, corrections=6):
-    """Ideal-metal free energy per area and pressure, summed at 30 digits.
+def ideal_metal_mp(z, temperature, direct=16, corrections=6, digits=30):
+    """Ideal-metal free energy per area and pressure, summed at ``digits`` digits.
 
     With r = 1 in both polarizations the Matsubara term at a = l * y_step
     is a closed form in Li_q(e^-a):
@@ -266,7 +266,7 @@ def ideal_metal_mp(z, temperature, direct=16, corrections=6):
     order y_step (2 pi direct)^(-2 corrections) relative to a sum of order
     1 / y_step.  Returns (F, P) in J/m^2 and Pa as mpf.
     """
-    with mp.workdps(30):
+    with mp.workdps(digits):
         z, temperature = mp.mpf(z), mp.mpf(temperature)
         y_step = (4 * mp.pi * mp.mpf(sc.k) * temperature * z
                   / (mp.mpf(sc.hbar) * mp.mpf(sc.c)))

@@ -1,13 +1,17 @@
 import importlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import thermal_casimir as tc
+from thermal_casimir import lifshitz
 from thermal_casimir.constants import CONSTANTS, ev_to_angular_frequency
 from thermal_casimir.errors import DomainError
 
-from oracles import drude_zero_entropy_mp, drude_zero_entropy_numeric
+from oracles import drude_zero_entropy_mp, drude_zero_entropy_numeric, ideal_metal_mp
 
 # the package's ``entropy`` attribute is the function, so look the module up by name
 entropy_module = importlib.import_module("thermal_casimir.entropy")
@@ -142,10 +146,13 @@ class TestEntropyFiniteDifferences:
         assert gaps[2] / gaps[0] == pytest.approx(9.0, rel=0.02)
 
     def test_sub_kelvin_step_is_relative(self, plasma_au):
-        # below 1 K the step is T/50, so 0.4 K computes instead of stepping past T = 0
-        estimate = tc.entropy(1e-6, 0.4, plasma_au, full_output=True)
-        assert estimate.converged
-        assert abs(estimate.value) < 1e-3 * abs(tc.entropy_large_z_limit(1e-6))
+        # the step is delta T at every T, so 0.4 K computes instead of stepping
+        # past T = 0; there the plasma entropy still follows its T^2 fall from 1 K
+        cold = tc.entropy(1e-6, 0.4, plasma_au, full_output=True)
+        warm = tc.entropy(1e-6, 1.0, plasma_au, full_output=True)
+        assert warm.converged
+        assert abs(cold.value) < 1e-3 * abs(tc.entropy_large_z_limit(1e-6))
+        assert abs(cold.value - 0.16 * warm.value) <= cold.error + 0.16 * warm.error
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_temperature_must_be_positive_and_finite(self, plasma_au, bad):
@@ -165,14 +172,52 @@ class TestEntropyFiniteDifferences:
         assert tc.entropy(1e-6, temperature, model) == pytest.approx(
             tc.drude_zero_T_entropy(1e-6, au_omega_p), rel=1e-6)
 
-    def test_full_output_reports_convergence(self, plasma_au, monkeypatch):
-        estimate = tc.entropy(1e-6, 10.0, plasma_au, full_output=True)
-        assert estimate.converged
-        monkeypatch.setattr(entropy_module, "_RICHARDSON_REL_CHANGE", 1e-16)
-        monkeypatch.setattr(entropy_module, "_MAX_REFINEMENTS", 1)
-        unsettled = tc.entropy(1e-6, 10.0, plasma_au, full_output=True)
-        assert not unsettled.converged
-        assert np.isfinite(unsettled.value)
+    def test_full_output_reports_convergence(self, plasma_au):
+        # converged means an error figure within 1e-3 |S|; the plasma entropy at
+        # 10 mK lies below the rounding floor of the difference, so it reads as
+        # zero within its error and is not converged
+        warm = tc.entropy(1e-6, 10.0, plasma_au, full_output=True)
+        assert warm.converged
+        assert 0.0 < warm.error <= 1e-3 * abs(warm.value)
+        cold = tc.entropy(1e-6, 0.01, plasma_au, full_output=True)
+        assert not cold.converged
+        assert np.isfinite(cold.value)
+        assert abs(cold.value) < cold.error
+        assert tc.entropy(1e-6, 10.0, plasma_au) == warm.value
+
+    @pytest.mark.parametrize("temperature", [300.0, 30.0, 3.0, 1.0, 0.1, 0.01])
+    def test_ideal_metal_meets_the_scale_free_identity(self, ideal_metal, temperature):
+        # F(z, T) = T^3 f(z T) for the ideal metal, so T S = z P - 3 F exactly;
+        # F and P from the 40-digit polylogarithm sum, as z P and 3 F cancel to
+        # T^3 of F at low temperature.  Where S cannot be resolved it must read
+        # as zero within its error, not as a wrong number.
+        z = 1e-6
+        estimate = tc.entropy(z, temperature, ideal_metal, full_output=True)
+        digits = 40
+        free, pressure = ideal_metal_mp(z, temperature, digits=digits)
+        with mp.workdps(digits):
+            exact = float((mp.mpf(z) * pressure - 3 * free) / temperature)
+        assert abs(estimate.value - exact) <= estimate.error
+        assert estimate.converged == (temperature >= 1.0)
+
+    def test_concurrent_evaluation_is_bitwise_serial(self, drude_au, plasma_au, ideal_metal):
+        perfect_lattice = entropy_module._resolve_gamma_map(drude_au, "perfect-lattice", 0.1)
+        jobs = [(z, temperature, model)
+                for model in (perfect_lattice, plasma_au, ideal_metal)
+                for z, temperature in ((0.5e-6, 300.0), (1e-6, 3.0), (2e-6, 0.1))]
+        # start cold so the worker threads fill the shared rule cache concurrently,
+        # with frequent thread switches to provoke interleaving
+        lifshitz._rule.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: tc.entropy(*job, full_output=True),
+                                         jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        serial = [tc.entropy(*job, full_output=True) for job in jobs]
+        assert threaded == serial
 
 
 class TestNernstVerdict:
@@ -213,6 +258,11 @@ class TestNernstVerdict:
         with pytest.raises(DomainError, match="gamma"):
             tc.nernst_verdict(drude_au, 1e-6)
 
+    def test_non_callable_map_is_rejected(self, drude_au):
+        # before, a number as the map surfaced as TypeError inside the engine
+        with pytest.raises(DomainError, match="callable"):
+            tc.nernst_verdict(drude_au, 1e-6, 3.0)
+
     def test_explicit_map_is_accepted(self, au_parameters):
         mapping = tc.PowerLawGamma(au_parameters.gamma, 300.0, floor=0.5 * au_parameters.gamma)
         scan = tc.nernst_verdict(tc.Drude(au_parameters), 1e-6, mapping,
@@ -239,8 +289,6 @@ class TestNernstVerdict:
     def test_perfect_lattice_scan_runs_every_sum_at_level_one(self, drude_au, monkeypatch):
         # the tail-integral ladder is sized for level 1 on this scan; an
         # escalation would silently double the cost of that call
-        from thermal_casimir import lifshitz
-
         levels = []
         matsubara_sum = lifshitz._matsubara_sum
 

@@ -77,7 +77,7 @@ class TestFreeEnergy:
             with pytest.raises(DomainError):
                 tc.free_energy(z, temperature, ideal_metal)
             with pytest.raises(DomainError):
-                engine._free_energy_value(z, temperature, ideal_metal)
+                engine.entropy_pass(z, temperature, ideal_metal)
 
     def test_result_serializes_to_a_flat_record(self, drude_au):
         import dataclasses
@@ -336,7 +336,7 @@ class TestGregoryTail:
 
         monkeypatch.setattr(engine, "_terms", counting)
         config = tc.EvaluationConfig(rel_tolerance=1e-9)
-        for evaluate in (tc.free_energy, engine._free_energy_value):
+        for evaluate in (tc.free_energy, engine.entropy_pass):
             integrals[0] = 0
             evaluate(1e-6, temperature, _model(tag), config)
             assert integrals[0] == 1, evaluate.__name__
@@ -354,7 +354,7 @@ class TestEmbeddedPair:
             sums = []
             for level in (1, 2):
                 level_sums, *_ = engine._matsubara_sum(z, temperature, model, model, tolerance,
-                                                       level, True)
+                                                       level)
                 sums.append(level_sums[:, 0])
             (f1, p1), (f2, p2) = sums
             estimate = tc.free_energy(z, temperature, model,
@@ -457,7 +457,7 @@ def test_partial_sum_plus_majorant_bounds_the_sum(tag, log_z, log_y_step, head):
     model, rule = _model(tag), engine._rule(2)
     partial = (np.stack(engine._zero_term(z, model, rule, True))[:, 0]
                + engine._terms(z, temperature, model, np.arange(1, exact), y_step, rule,
-                               True)[:, 0].sum(axis=1))
+                               False)[:, 0].sum(axis=1))
     bound = np.abs(partial) + engine._majorant_tail(exact * y_step, y_step)
     direct_f, direct_p = matsubara_sum_direct(z, temperature, model, level=2)
     prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)

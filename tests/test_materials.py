@@ -110,6 +110,11 @@ class TestGammaMaps:
             with pytest.raises(DomainError):
                 tc.DrudeParameters(omega_p, gamma)
 
+    @pytest.mark.parametrize("mapping", [3.0, "perfect-lattice", (1.0, 2.0)])
+    def test_gamma_map_must_be_callable(self, mapping):
+        with pytest.raises(DomainError, match="callable"):
+            tc.DrudeParameters(1e16, 1e13, mapping)
+
     @pytest.mark.parametrize("build", [
         lambda v: tc.Plasma(v),
         lambda v: tc.PowerLawGamma(v),

@@ -71,9 +71,14 @@ from .constants import CONSTANTS, ZETA3
 from .errors import DomainError
 from .quadrature import L0_EDGES, kronrod_rule, refine, split_edges
 
-# The l = 0 term uses the graded L0_EDGES; terms with l >= 1 are analytic in y
-# and use the same panels without the grading below y = 0.0625.
-_LK_EDGES = (0.0,) + L0_EDGES[5:]
+# Panels in the offset y - y_l of the terms with l >= 1 (the l = 0 term uses
+# L0_EDGES).  A term is analytic in the offset, but near offset 0 it varies on
+# the scale of y_l (its y ln y near-singularity lies y_l below) and of the skin
+# scale 2 z omega_p / c, which are small at low T and at sub-nm z; so the first
+# panels are graded by factors of 4 down to 1/256, as L0_EDGES is.  Past y = 1
+# the exp(-y) envelope is smooth and the panels widen to 2.5, 5, 10 and 20:
+# 150 nodes per term.
+_LK_EDGES = (0.0, 1 / 256, 1 / 64, 1 / 16, 1 / 4, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0)
 # First L: terms l < L are summed exactly, the rest by the tail integral.
 _EXACT_TERMS = 16
 # Gregory coefficients G_1 .. G_8 (1/ln(1+x) - 1/x = sum_k G_(k+1) x^k): the
@@ -82,9 +87,11 @@ _GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 2419
             -33953 / 3628800)
 # Panel edges of the tail integral in eta past the geometric grading, which
 # doubles the panel width from L * y_step up to the first edge here.  Sized so
-# that low-temperature calls stay at level 1; doubling all the way to 64 is too
-# coarse for a direct-sum check at tol 1e-9.
-_ETA_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0)
+# that low-temperature calls stay at level 1: doubling all the way to 64 is too
+# coarse for a direct-sum check at tol 1e-9, and without the edge at 12 the
+# |K - G| of the [8, 16] panel overstates the error of the entropy difference
+# sum D at low T by orders of magnitude, forcing a second level.
+_ETA_EDGES = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 # Share of the tolerance allowed for the cut at y_max and for the last
 # Gregory correction.
 _SUM_SHARE = 1e-2

@@ -102,11 +102,12 @@ class TestPressureCommand:
         assert not out.exists()
 
     def test_unreachable_tolerance_is_a_numerical_failure(self, tmp_path, capsys):
-        # at picometre separations the term panels cannot resolve the skin depth,
-        # so 1e-10 stays out of reach at every refinement level; the run must
-        # exit 3 without touching the output file
+        # at 1 pm the skin scale 2 z omega_p / c (about 1e-4) lies under the first
+        # graded term panel, so the estimate bottoms out near 1e-11 at the last
+        # refinement level and 1e-13 stays out of reach at every level; the run
+        # must exit 3 without touching the output file
         code, out = run(tmp_path, "pressure", "--z-min-um", "1e-6", "--z-max-um", "1e-6",
-                        "--points", "1", "--tol", "1e-10")
+                        "--points", "1", "--tol", "1e-13")
         assert code == 3
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err

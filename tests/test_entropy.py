@@ -27,6 +27,20 @@ def plasma_scan(plasma_au):
     return tc.nernst_verdict(plasma_au, 1e-6)
 
 
+@pytest.fixture
+def sum_levels(monkeypatch):
+    """Refinement level of every Matsubara sum the test runs, in order."""
+    levels = []
+    matsubara_sum = lifshitz._matsubara_sum
+
+    def recording(*args):
+        levels.append(args[5])
+        return matsubara_sum(*args)
+
+    monkeypatch.setattr(lifshitz, "_matsubara_sum", recording)
+    return levels
+
+
 class TestZeroTemperatureEntropy:
     def test_matches_independent_quadrature(self, au_omega_p):
         value = tc.drude_zero_T_entropy(1e-6, au_omega_p)
@@ -286,21 +300,28 @@ class TestNernstVerdict:
             with pytest.raises(DomainError, match="integer"):
                 tc.nernst_verdict(plasma_au, 1e-6, points=points)
 
-    def test_perfect_lattice_scan_runs_every_sum_at_level_one(self, drude_au, monkeypatch):
+    def test_perfect_lattice_scan_runs_every_sum_at_level_one(self, drude_au, sum_levels):
         # the tail-integral ladder is sized for level 1 on this scan; an
         # escalation would silently double the cost of that call
-        levels = []
-        matsubara_sum = lifshitz._matsubara_sum
-
-        def recording(*args):
-            levels.append(args[5])
-            return matsubara_sum(*args)
-
-        monkeypatch.setattr(lifshitz, "_matsubara_sum", recording)
         scan = tc.nernst_verdict(drude_au, 1e-6, "perfect-lattice",
                                  config=tc.EvaluationConfig(rel_tolerance=1e-9), points=25)
         assert scan.all_converged
-        assert levels and set(levels) == {1}
+        assert sum_levels and set(sum_levels) == {1}
+
+    @pytest.mark.parametrize("temperature", [1.0, 1.6, 2.6])
+    def test_cold_plasma_entropy_settles_at_level_one(self, plasma_au, sum_levels,
+                                                      temperature):
+        # where S is small, the level-1 pass alone must bring the error of D
+        # within 1e-3 |D|: a level-2 pass would double the cost of the point
+        z, tolerance = 1e-6, 1e-9
+        estimate = tc.entropy(z, temperature, plasma_au,
+                              tc.EvaluationConfig(rel_tolerance=tolerance), full_output=True)
+        assert sum_levels == [1]
+        assert estimate.converged
+        sums, *_ = lifshitz._matsubara_sum(z, temperature, plasma_au, plasma_au, tolerance, 3,
+                                           True)
+        reference = -CONSTANTS.k_B / (8.0 * np.pi * z**2) * sums[1, 0]
+        assert abs(estimate.value - reference) <= estimate.error
 
     def test_coarse_grid_on_a_vanishing_entropy_is_inconclusive(self, plasma_au):
         # A sparse grid leaves the cold-end extrapolation genuinely

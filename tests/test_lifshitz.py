@@ -210,6 +210,18 @@ class TestTruncationAndErrors:
         change = abs(doubled.free_energy_per_area - result.free_energy_per_area)
         assert change <= result.quadrature_error_estimate * abs(result.free_energy_per_area)
 
+    @pytest.mark.parametrize("z, tolerance", [(1e-10, 1e-11), (1e-12, 1e-10)])
+    def test_sub_nanometre_separations_converge(self, drude_au, z, tolerance):
+        # the first term panels are graded towards offset 0, so where the skin
+        # scale 2 z omega_p / c is small (9e-3 at 0.1 nm, 9e-5 at 1 pm) a tight
+        # tolerance converges and agrees with a loose one within its estimate
+        coarse = tc.free_energy(z, 300.0, drude_au, tc.EvaluationConfig(rel_tolerance=1e-7))
+        fine = tc.free_energy(z, 300.0, drude_au, tc.EvaluationConfig(rel_tolerance=tolerance))
+        assert fine.quadrature_error_estimate <= tolerance
+        for name in ("free_energy_per_area", "pressure"):
+            value = getattr(coarse, name)
+            assert abs(getattr(fine, name) - value) <= coarse.quadrature_error_estimate * abs(value)
+
     def test_coarse_diagnostic_rule_reports_failure(self, ideal_metal, monkeypatch):
         # two order-2 panels cannot resolve the l = 0 term at any refinement level
         monkeypatch.setattr(engine, "L0_EDGES", (0.0, 20.0, 40.0))

@@ -22,7 +22,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .errors import DomainError, ExtrapolationError, PrescriptionError
 from .quadrature import kronrod_rule, kronrod_sum, refine, split_edges
-from .reflection import ReflectionPair, fresnel_q, impedance_q
+from .reflection import ReflectionPair, fresnel_q, impedance_q, perfect_q
 # the validated (xi, k_perp) forms stay importable here, where perfbench/tracer.py
 # and perfbench/tests look them up
 from .reflection import fresnel_reflection, impedance_reflection  # noqa: F401
@@ -181,20 +181,13 @@ def _imaginary_frequency(xi):
 
 
 def eps_drude(xi, parameters, temperature=None):
-    """Drude permittivity 1 + omega_p^2 / (xi (xi + gamma(T))) at i*xi."""
-    xi = _imaginary_frequency(xi)
-    gamma = parameters.relaxation(temperature)
-    value = 1.0 + parameters.omega_p**2 / (xi * (xi + gamma))
-    return value if value.ndim else float(value)
+    """Drude permittivity at i*xi: ``Drude(parameters).response``."""
+    return Drude(parameters).response(xi, temperature)
 
 
 def eps_plasma(xi, omega_p):
-    """Plasma permittivity 1 + omega_p^2 / xi^2 at i*xi."""
-    xi = _imaginary_frequency(xi)
-    if not 0.0 < omega_p < math.inf:
-        raise DomainError("plasma frequency must be positive and finite")
-    value = 1.0 + (omega_p / xi) ** 2
-    return value if value.ndim else float(value)
+    """Plasma permittivity at i*xi: ``Plasma(omega_p).response``."""
+    return Plasma(omega_p).response(xi)
 
 
 def impedance_from_eps(xi, eps):
@@ -413,21 +406,31 @@ def synthesize_drude_table(omega_p, gamma, omega_min, omega_max, points):
 class MaterialResponse:
     """Base class for the supported material prescriptions.
 
-    Subclasses provide finite-frequency reflection amplitudes and the
-    explicit zero-frequency rule.  Instances are immutable and safe to share
-    across threads.
-
-    ``reflection(xi, q, temperature)`` takes the imaginary frequency xi > 0
-    and the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c, the
-    variable the Matsubara engine integrates in, and does not validate them;
-    :func:`.fresnel_reflection` and :func:`.impedance_reflection` are the
-    validated functions of (xi, k_perp).
+    A subclass states its response at imaginary frequency once, unchecked,
+    as ``_response(xi, temperature)``, and its explicit zero-frequency rule.
+    Its class-level ``kernel`` reads the response: eps(i*xi) for
+    :func:`.fresnel_q`, the Leontovich impedance Z(i*xi) for
+    :func:`.impedance_q`; :func:`.perfect_q` ignores it.  ``response`` is
+    the checked public form of ``_response``.  ``reflection(xi, q,
+    temperature)``, the kernel applied to ``_response``, is the only
+    reflection path; it takes xi > 0 and the vacuum decay constant
+    q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c, the variable the Matsubara engine
+    integrates in, and does not validate them.  Instances are immutable and
+    safe to share across threads.
     """
 
     tag: ClassVar[str] = "abstract"
 
-    def reflection(self, xi, q, temperature=None):
+    def _response(self, xi, temperature):
         raise NotImplementedError
+
+    def response(self, xi, temperature=None):
+        """eps(i*xi) or Z(i*xi), per ``kernel``, at finite xi > 0 (else DomainError)."""
+        value = self._response(_imaginary_frequency(xi), temperature)
+        return value if np.ndim(value) else float(value)
+
+    def reflection(self, xi, q, temperature=None):
+        return self.kernel(xi, q, self._response(xi, temperature))
 
     def zero_frequency_reflection(self, k_perp):
         raise NotImplementedError
@@ -441,15 +444,16 @@ class MaterialResponse:
 class IdealMetal(MaterialResponse):
     """Perfect reflector; both polarizations reflect fully at every frequency.
 
-    At zero frequency this reproduces the Schwinger prescription (take the
+    Its response is eps(i*xi) = inf, the perfect-conductor limit.  At zero
+    frequency this reproduces the Schwinger prescription (take the
     perfect-conductor limit before setting l = 0).
     """
 
     tag: ClassVar[str] = "ideal"
+    kernel: ClassVar[Callable] = staticmethod(perfect_q)
 
-    def reflection(self, xi, q, temperature=None):
-        one = np.ones(np.broadcast(np.asarray(xi), np.asarray(q)).shape)
-        return ReflectionPair(one, one)
+    def _response(self, xi, temperature):
+        return np.full(np.shape(xi), np.inf)
 
     def zero_frequency_reflection(self, k_perp):
         one = self._ones_like(k_perp)
@@ -462,12 +466,11 @@ class Drude(MaterialResponse):
 
     parameters: DrudeParameters
     tag: ClassVar[str] = "drude"
+    kernel: ClassVar[Callable] = staticmethod(fresnel_q)
 
-    def eps(self, xi, temperature=None):
-        return eps_drude(xi, self.parameters, temperature)
-
-    def reflection(self, xi, q, temperature=None):
-        return fresnel_q(xi, q, self.eps(xi, temperature))
+    def _response(self, xi, temperature):
+        gamma = self.parameters.relaxation(temperature)
+        return 1.0 + self.parameters.omega_p**2 / (xi * (xi + gamma))
 
     def zero_frequency_reflection(self, k_perp):
         one = self._ones_like(k_perp)
@@ -480,16 +483,14 @@ class Plasma(MaterialResponse):
 
     omega_p: float
     tag: ClassVar[str] = "plasma"
+    kernel: ClassVar[Callable] = staticmethod(fresnel_q)
 
     def __post_init__(self):
         if not 0.0 < self.omega_p < math.inf:
             raise DomainError("plasma frequency must be positive and finite")
 
-    def eps(self, xi, temperature=None):
-        return eps_plasma(xi, self.omega_p)
-
-    def reflection(self, xi, q, temperature=None):
-        return fresnel_q(xi, q, self.eps(xi))
+    def _response(self, xi, temperature):
+        return 1.0 + (self.omega_p / xi) ** 2
 
     def zero_frequency_reflection(self, k_perp):
         ck = CONSTANTS.c * np.asarray(k_perp, dtype=float)
@@ -509,12 +510,10 @@ class TabulatedPermittivity(MaterialResponse):
 
     table: OpticalTable
     tag: ClassVar[str] = "table"
+    kernel: ClassVar[Callable] = staticmethod(fresnel_q)
 
-    def eps(self, xi, temperature=None):
+    def _response(self, xi, temperature):
         return eps_from_table(xi, self.table)
-
-    def reflection(self, xi, q, temperature=None):
-        return fresnel_q(xi, q, self.eps(xi))
 
     def zero_frequency_reflection(self, k_perp):
         one = self._ones_like(k_perp)
@@ -536,18 +535,14 @@ class InfraredOpticsImpedance(MaterialResponse):
 
     omega_p: float
     tag: ClassVar[str] = "impedance-ir"
+    kernel: ClassVar[Callable] = staticmethod(impedance_q)
 
     def __post_init__(self):
         if not 0.0 < self.omega_p < math.inf:
             raise DomainError("plasma frequency must be positive and finite")
 
-    def impedance(self, xi):
-        xi = _imaginary_frequency(xi)
-        value = xi / np.sqrt(xi**2 + self.omega_p**2)
-        return value if value.ndim else float(value)
-
-    def reflection(self, xi, q, temperature=None):
-        return impedance_q(xi, q, self.impedance(xi))
+    def _response(self, xi, temperature):
+        return xi / np.sqrt(xi**2 + self.omega_p**2)
 
     def zero_frequency_reflection(self, k_perp):
         ck = CONSTANTS.c * np.asarray(k_perp, dtype=float)
@@ -568,18 +563,14 @@ class SkinEffectImpedance(MaterialResponse):
     omega_p: float
     gamma: float
     tag: ClassVar[str] = "impedance-skin"
+    kernel: ClassVar[Callable] = staticmethod(impedance_q)
 
     def __post_init__(self):
         if not (0.0 < self.omega_p < math.inf and 0.0 < self.gamma < math.inf):
             raise DomainError("skin-effect impedance needs positive, finite omega_p and gamma")
 
-    def impedance(self, xi):
-        xi = _imaginary_frequency(xi)
-        value = np.sqrt(xi * self.gamma) / self.omega_p
-        return value if value.ndim else float(value)
-
-    def reflection(self, xi, q, temperature=None):
-        return impedance_q(xi, q, self.impedance(xi))
+    def _response(self, xi, temperature):
+        return np.sqrt(xi * self.gamma) / self.omega_p
 
     def zero_frequency_reflection(self, k_perp):
         one = self._ones_like(k_perp)

@@ -78,8 +78,17 @@ def si_static_table():
     )
 
 
-#: The prescription names ``build_model`` accepts, and its default preset.
-MODEL_KINDS = ("ideal", "drude", "plasma", "impedance-ir", "impedance-skin", "table")
+#: The prescription names ``build_model`` accepts, each with the eV overrides
+#: it reads, and its default preset.
+_OVERRIDES_READ = {
+    "ideal": (),
+    "drude": ("omega_p_ev", "gamma_ev"),
+    "plasma": ("omega_p_ev",),
+    "impedance-ir": ("omega_p_ev",),
+    "impedance-skin": ("omega_p_ev", "gamma_ev"),
+    "table": (),
+}
+MODEL_KINDS = tuple(_OVERRIDES_READ)
 DEFAULT_PRESET = "Au-paper"
 
 
@@ -94,10 +103,15 @@ def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, tab
         Parameter preset for metallic prescriptions, or "Si-static" for the
         bundled table.
     omega_p_ev, gamma_ev : float, optional
-        Explicit overrides of the preset values, in eV.
+        Explicit overrides of the preset values, in eV.  DomainError if the
+        prescription does not use the value: neither for "ideal" and
+        "table", gamma for "plasma" and "impedance-ir".
     table : OpticalTable, optional
         Explicit table for kind="table"; overrides the preset.
     """
+    for name, value in (("omega_p_ev", omega_p_ev), ("gamma_ev", gamma_ev)):
+        if value is not None and kind in _OVERRIDES_READ and name not in _OVERRIDES_READ[kind]:
+            raise DomainError(f"model {kind!r} does not use {name}")
     if kind == "ideal":
         return IdealMetal()
     if kind == "table":

@@ -97,6 +97,12 @@ def impedance_q(xi, q, impedance):
     return ReflectionPair((cq - z_xi) / (cq + z_xi), (xi - cq * impedance) / (xi + cq * impedance))
 
 
+def perfect_q(xi, q, response):
+    """Perfect-reflector amplitudes (1, 1) at every (xi, q); ``response`` is not used."""
+    one = np.ones(np.broadcast(np.asarray(xi), np.asarray(q)).shape)
+    return ReflectionPair(one, one)
+
+
 def zero_frequency_reflection(model, k_perp):
     """Zero-frequency reflection pair prescribed by a material response.
 

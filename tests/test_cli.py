@@ -177,6 +177,20 @@ def test_non_finite_material_parameter_exits_two(tmp_path, capsys, flag, value):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, flag", [("ideal", "--omega-p-ev"), ("ideal", "--gamma-ev"),
+                                         ("table", "--omega-p-ev"), ("table", "--gamma-ev"),
+                                         ("plasma", "--gamma-ev"), ("impedance-ir", "--gamma-ev")])
+def test_override_the_model_does_not_use_exits_two(tmp_path, capsys, model, flag):
+    out = tmp_path / "out.csv"
+    out.write_text("previous result\n")
+    preset = "Si-static" if model == "table" else "Au-paper"
+    code = main(["pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1",
+                 "--model", model, "--preset", preset, flag, "1", "--out", str(out)])
+    assert code == 2
+    assert out.read_text() == "previous result\n"
+    assert "does not use" in capsys.readouterr().err
+
+
 _MODEL_KEYS = {"model", "preset", "table_file", "extrapolation", "omega_p_ev", "gamma_ev"}
 _GRID_KEYS = {"command", "z_min_um", "z_max_um", "points", "temperature_K", "tol"} | _MODEL_KEYS
 

@@ -379,8 +379,8 @@ class TestEmbeddedPair:
     def test_matches_term_by_term_adaptive_quadrature(self, drude_au, plasma_au, z):
         temperature, tolerance = 300.0, 1e-9
         config = tc.EvaluationConfig(rel_tolerance=tolerance)
-        for model, eps in ((drude_au, lambda xi: drude_au.eps(xi, temperature)),
-                           (plasma_au, plasma_au.eps)):
+        for model, eps in ((drude_au, lambda xi: drude_au.response(xi, temperature)),
+                           (plasma_au, plasma_au.response)):
             oracle_f, oracle_p = lifshitz_sum_quad(
                 z, temperature, eps, model.zero_frequency_reflection, tolerance)
             result = tc.free_energy(z, temperature, model, config)
@@ -396,6 +396,27 @@ def _model(tag):
     from thermal_casimir.presets import build_model
 
     return build_model(tag, preset="Si-static" if tag == "table" else "Au-paper")
+
+
+def test_engine_path_runs_no_frequency_check(monkeypatch):
+    # response() checks xi for callers; the engine reads each model's unchecked
+    # _response, so refusing the check leaves every result as it was
+    from thermal_casimir import materials
+
+    z, temperature = 1e-6, 30.0
+    tags = ("ideal", "drude", "plasma", "impedance-ir", "impedance-skin")
+
+    def results():
+        return [(tc.free_energy(z, temperature, _model(tag)),
+                 engine.entropy_pass(z, temperature, _model(tag))) for tag in tags]
+
+    expected = results()
+
+    def refuse(xi):
+        raise AssertionError("xi input check on the engine path")
+
+    monkeypatch.setattr(materials, "_imaginary_frequency", refuse)
+    assert results() == expected
 
 
 @lru_cache(maxsize=None)

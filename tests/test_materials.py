@@ -133,8 +133,11 @@ class TestGammaMaps:
         lambda v: tc.impedance_from_eps(v, 2.0),
         lambda v: tc.impedance_from_eps(1e15, v),
         lambda v: tc.eps_from_table(v, si_static_table()),
-        lambda v: tc.InfraredOpticsImpedance(1e16).impedance(v),
-        lambda v: tc.SkinEffectImpedance(1e16, 1e13).impedance(v),
+        lambda v: tc.InfraredOpticsImpedance(1e16).response(v),
+        lambda v: tc.SkinEffectImpedance(1e16, 1e13).response(v),
+        lambda v: tc.Drude(tc.DrudeParameters(1e16, 1e13)).response(v),
+        lambda v: tc.Plasma(1e16).response(v),
+        lambda v: tc.TabulatedPermittivity(si_static_table()).response(v),
         lambda v: tc.TabulatedGamma((1.0, v), (1e11, 1e12)),
         lambda v: tc.TabulatedGamma((1.0, 2.0), (1e11, v)),
         lambda v: tc.DrudeParameters(1e16, 1e13, lambda t: v).relaxation(10.0),

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermal_casimir as tc
+from thermal_casimir import reflection
 from thermal_casimir.constants import CONSTANTS
 from thermal_casimir.errors import DomainError, PrescriptionError
 
@@ -115,13 +118,24 @@ class TestAmplitudeBounds:
 
     def test_all_responses_are_physical_on_the_imaginary_axis(self, au_omega_p, au_gamma,
                                                               drude_synthetic_table):
+        # each response is of the kind its kernel reads: eps >= 1 or 0 < Z <= 1
         xi = np.geomspace(1e12, 1e17, 30)
         for model in self._models(au_omega_p, au_gamma, drude_synthetic_table):
-            if hasattr(model, "eps"):
-                assert np.all(model.eps(xi, 300.0) >= 1.0), model.tag
-            if hasattr(model, "impedance"):
-                values = model.impedance(xi)
-                assert np.all(values > 0.0), model.tag
+            values = model.response(xi, 300.0)
+            assert values.shape == xi.shape, model.tag
+            if model.kernel is reflection.fresnel_q:
+                assert np.all(values >= 1.0), model.tag
+            elif model.kernel is reflection.impedance_q:
+                assert np.all((0.0 < values) & (values <= 1.0)), model.tag
+            else:
+                assert model.kernel is reflection.perfect_q, model.tag
+                assert np.all(values == np.inf), model.tag
+
+    def test_ideal_metal_response_is_the_perfect_conductor_limit(self):
+        model = tc.IdealMetal()
+        assert model.response(1e15) == math.inf
+        with pytest.raises(DomainError, match="prescription"):
+            model.response(0.0)
 
 
 _TAGS = ("ideal", "drude", "plasma", "impedance-ir", "impedance-skin", "table")

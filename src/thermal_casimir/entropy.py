@@ -16,14 +16,13 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import lifshitz
 from .constants import CONSTANTS, ZETA3
 from .errors import DomainError
-from .lifshitz import EvaluationConfig
+from .lifshitz import EntropyEstimate, EvaluationConfig  # noqa: F401  (re-exported)
 from .materials import Drude, PowerLawGamma
 from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, refine, split_edges
 
@@ -45,18 +44,6 @@ _ZERO_T_LEVELS = 7
 _FIT_VARIANTS = ((2, 12), (2, 9), (2, 6), (1, 5))
 
 
-class EntropyEstimate(NamedTuple):
-    """Entropy with its absolute error figure and whether that error is small.
-
-    ``converged`` is true when ``error`` is at most 1e-3 |value|; a value
-    within its error of zero is not converged.
-    """
-
-    value: float
-    converged: bool
-    error: float
-
-
 def entropy(z, temperature, model, config=None, *, full_output=False):
     """Entropy per unit area S(z, T) = -dF/dT in J/(K m^2).
 
@@ -72,9 +59,7 @@ def entropy(z, temperature, model, config=None, *, full_output=False):
     its tolerance at every refinement level.
     """
     cfg = config if config is not None else ENTROPY_CONFIG
-    value, error = lifshitz.entropy_pass(z, temperature, model, cfg)
-    converged = error <= lifshitz._ENTROPY_REL_ERROR * abs(value)
-    estimate = EntropyEstimate(value=value, converged=converged, error=error)
+    estimate = lifshitz.entropy_pass(z, temperature, model, cfg)
     return estimate if full_output else estimate.value
 
 

@@ -13,7 +13,6 @@ provenance header carrying only a hash of the resolved configuration.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -156,6 +155,10 @@ def format_value(value):
 
 def config_hash(config):
     """Stable hash of the resolved run configuration."""
+    # imported on first use: hashlib loads OpenSSL, about 3.6 MiB of resident
+    # memory that a caller reading a data file (presets.si_static_table) need not pay
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

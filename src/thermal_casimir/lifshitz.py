@@ -64,6 +64,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +161,18 @@ class LifshitzResult:
     quadrature_error_estimate: float
     zero_frequency_share: float
     provenance: str = ""
+
+
+class EntropyEstimate(NamedTuple):
+    """Entropy with its absolute error figure and whether that error is small.
+
+    ``converged`` is true when ``error`` is at most 1e-3 |value|; a value
+    within its error of zero is not converged.
+    """
+
+    value: float
+    converged: bool
+    error: float
 
 
 # Kronrod nodes of one refinement level for l = 0 and l >= 1; each weight matrix
@@ -439,7 +452,7 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
 
 
 def entropy_pass(z, temperature, model, config=DEFAULT_CONFIG):
-    """Entropy per unit area S = -dF/dT and its absolute error, from one engine pass.
+    """Entropy per unit area S = -dF/dT, as an :class:`EntropyEstimate`, from one engine pass.
 
     S = -(F(T+) - F(T-)) / (2 delta T) at T+- = T (1 +- delta): the exact
     central difference of one discretization, whose level, cut, L and gate
@@ -451,8 +464,9 @@ def entropy_pass(z, temperature, model, config=DEFAULT_CONFIG):
 
     Panels are split once more while F misses ``config.rel_tolerance``, or
     while the error of S exceeds ``_ENTROPY_REL_ERROR`` |S| and its rounding
-    floor alone does not, up to the last level.  Raises ConvergenceError,
-    carrying the last (S, error) pair, if F misses its tolerance, and
+    floor alone does not, up to the last level; the estimate is converged when
+    its error is within ``_ENTROPY_REL_ERROR`` |S|.  Raises ConvergenceError,
+    carrying the last estimate, if F misses its tolerance, and
     DomainError if the separation or the temperature is not positive and
     finite.
     """
@@ -470,7 +484,8 @@ def entropy_pass(z, temperature, model, config=DEFAULT_CONFIG):
         target = _ENTROPY_REL_ERROR * abs(difference)
         if error > target and rounding <= target and level < _LEVELS:
             achieved = math.inf
-        return (-prefactor * float(difference), prefactor * float(error)), achieved
+        value, error = -prefactor * float(difference), prefactor * float(error)
+        return EntropyEstimate(value, error <= _ENTROPY_REL_ERROR * abs(value), error), achieved
 
     return refine(evaluate, _LEVELS, tolerance, "quadrature")[0]
 

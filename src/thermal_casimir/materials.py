@@ -207,23 +207,38 @@ def impedance_from_eps(xi, eps):
 
 @dataclass(frozen=True)
 class DrudeTail:
-    """Continue Im eps below the grid with a Drude absorption profile."""
+    """Continue Im eps below the grid with a Drude absorption profile; the
+    zero-frequency rule is then Drude's (TM amplitude 1, TE 0)."""
 
     omega_p: float
     gamma: float
+    zero_frequency_tm: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.omega_p < math.inf and 0.0 < self.gamma < math.inf):
             raise DomainError("Drude tail needs positive, finite omega_p and gamma")
+
+    def below_grid_integral(self, xi, omega_min):
+        """Closed-form dispersion integral over [0, omega_min]: the Drude profile
+        makes the integrand omega_p^2 gamma / ((omega^2 + gamma^2)(omega^2 + xi^2))."""
+        g = self.gamma
+        w = omega_min
+        out = np.empty(xi.shape)
+        near = np.abs(xi - g) < 1e-6 * g
+        x = xi[~near]
+        out[~near] = (np.arctan(w / g) / g - np.arctan(w / x) / x) / (x**2 - g**2)
+        if np.any(near):
+            out[near] = (w / (w**2 + g**2) + np.arctan(w / g) / g) / (2.0 * g**2)
+        return self.omega_p**2 * g * out
 
 
 @dataclass(frozen=True)
 class ConstantEpsilon:
     """No absorption below the grid; the material is a plain dielectric there.
 
-    ``eps_static`` is the static permittivity used by the zero-frequency
-    reflection rule; a consistent table integrates to the same value as
-    xi -> 0.
+    ``eps_static`` is the static permittivity, which a consistent table
+    integrates to as xi -> 0; the zero-frequency rule is then the dielectric
+    one (TM amplitude (eps_static - 1)/(eps_static + 1), TE 0).
     """
 
     eps_static: float
@@ -231,6 +246,14 @@ class ConstantEpsilon:
     def __post_init__(self):
         if not 1.0 <= self.eps_static < math.inf:
             raise DomainError("static permittivity must be finite and >= 1")
+
+    @property
+    def zero_frequency_tm(self):
+        return (self.eps_static - 1.0) / (self.eps_static + 1.0)
+
+    def below_grid_integral(self, xi, omega_min):
+        """The dispersion integral over [0, omega_min]: no absorption, 0."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -245,8 +268,9 @@ class OpticalTable:
         Imaginary part of the permittivity at ``omega``; nonnegative
         (passivity).
     extrapolation : DrudeTail, ConstantEpsilon or None
-        Continuation of the absorption below ``omega[0]``.  ``None`` means
-        the table carries no information there at all.
+        Continuation below ``omega[0]``, which states the below-grid part of
+        the dispersion integral and the zero-frequency TM amplitude; ``None``
+        means the table carries no information there at all.
     provenance : str
         Free-form description of where the data came from.
     """
@@ -299,25 +323,6 @@ def _grid_dispersion_integral(xi, table, level):
     return result, float(np.max(error / np.maximum(np.abs(result), 1e-300)))
 
 
-def _drude_tail_integral(xi, rule, omega_min):
-    """Closed form of the below-grid Drude absorption contribution.
-
-    Integrand omega * ImepsD / (omega^2 + xi^2) with
-    ImepsD = omega_p^2 gamma / (omega (omega^2 + gamma^2)) reduces to
-    omega_p^2 gamma / ((omega^2 + gamma^2)(omega^2 + xi^2)), integrable in
-    elementary terms on [0, omega_min].
-    """
-    g = rule.gamma
-    w = omega_min
-    out = np.empty(xi.shape)
-    near = np.abs(xi - g) < 1e-6 * g
-    x = xi[~near]
-    out[~near] = (np.arctan(w / g) / g - np.arctan(w / x) / x) / (x**2 - g**2)
-    if np.any(near):
-        out[near] = (w / (w**2 + g**2) + np.arctan(w / g) / g) / (2.0 * g**2)
-    return rule.omega_p**2 * g * out
-
-
 def eps_from_table(xi, table):
     """Permittivity at imaginary frequency from tabulated absorption data.
 
@@ -358,7 +363,7 @@ def eps_from_table(xi, table):
 
     omega_min = table.omega[0]
     rule = table.extrapolation
-    tail = _drude_tail_integral(xi_arr, rule, omega_min) if isinstance(rule, DrudeTail) else 0.0
+    tail = 0.0 if rule is None else rule.below_grid_integral(xi_arr, omega_min)
 
     def evaluate(level):
         grid_part, achieved = _grid_dispersion_integral(xi_arr, table, level)
@@ -407,8 +412,9 @@ class MaterialResponse:
     """Base class for the supported material prescriptions.
 
     A subclass states its response at imaginary frequency once, unchecked,
-    as ``_response(xi, temperature)``, and its explicit zero-frequency rule.
-    Its class-level ``kernel`` reads the response: eps(i*xi) for
+    as ``_response(xi, temperature)``, and its explicit zero-frequency rule
+    as ``zero_frequency_reflection(k_perp)``, a constant amplitude as a
+    float.  Its class-level ``kernel`` reads the response: eps(i*xi) for
     :func:`.fresnel_q`, the Leontovich impedance Z(i*xi) for
     :func:`.impedance_q`; :func:`.perfect_q` ignores it.  ``response`` is
     the checked public form of ``_response``.  ``reflection(xi, q,
@@ -435,10 +441,6 @@ class MaterialResponse:
     def zero_frequency_reflection(self, k_perp):
         raise NotImplementedError
 
-    @staticmethod
-    def _ones_like(k_perp):
-        return np.ones_like(np.asarray(k_perp, dtype=float))
-
 
 @dataclass(frozen=True)
 class IdealMetal(MaterialResponse):
@@ -456,8 +458,7 @@ class IdealMetal(MaterialResponse):
         return np.full(np.shape(xi), np.inf)
 
     def zero_frequency_reflection(self, k_perp):
-        one = self._ones_like(k_perp)
-        return ReflectionPair(one, one)
+        return ReflectionPair(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -473,8 +474,7 @@ class Drude(MaterialResponse):
         return 1.0 + self.parameters.omega_p**2 / (xi * (xi + gamma))
 
     def zero_frequency_reflection(self, k_perp):
-        one = self._ones_like(k_perp)
-        return ReflectionPair(one, np.zeros_like(one))
+        return ReflectionPair(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -495,17 +495,18 @@ class Plasma(MaterialResponse):
     def zero_frequency_reflection(self, k_perp):
         ck = CONSTANTS.c * np.asarray(k_perp, dtype=float)
         root = np.sqrt(ck**2 + self.omega_p**2)
-        return ReflectionPair(self._ones_like(k_perp), (root - ck) / (root + ck))
+        return ReflectionPair(1.0, (root - ck) / (root + ck))
 
 
 @dataclass(frozen=True)
 class TabulatedPermittivity(MaterialResponse):
     """Material described by tabulated optical data via the dispersion integral.
 
-    The zero-frequency rule follows the table's extrapolation: a Drude tail
-    implies the Drude rule, a constant static permittivity implies the
-    dielectric Fresnel limit, and a table without extrapolation has no rule
-    at all.
+    The table's extrapolation states both the below-grid part of the
+    dispersion integral and the zero-frequency TM amplitude: 1 for a Drude
+    tail, the dielectric Fresnel limit for a constant static permittivity;
+    the TE amplitude is 0 for both.  A table without extrapolation has no
+    zero-frequency rule at all.
     """
 
     table: OpticalTable
@@ -516,17 +517,13 @@ class TabulatedPermittivity(MaterialResponse):
         return eps_from_table(xi, self.table)
 
     def zero_frequency_reflection(self, k_perp):
-        one = self._ones_like(k_perp)
         rule = self.table.extrapolation
-        if isinstance(rule, DrudeTail):
-            return ReflectionPair(one, np.zeros_like(one))
-        if isinstance(rule, ConstantEpsilon):
-            e0 = rule.eps_static
-            return ReflectionPair((e0 - 1.0) / (e0 + 1.0) * one, np.zeros_like(one))
-        raise PrescriptionError(
-            "prescription required: tabulated data without extrapolation has "
-            "no zero-frequency reflection rule"
-        )
+        if rule is None:
+            raise PrescriptionError(
+                "prescription required: tabulated data without extrapolation has "
+                "no zero-frequency reflection rule"
+            )
+        return ReflectionPair(rule.zero_frequency_tm, 0.0)
 
 
 @dataclass(frozen=True)
@@ -546,9 +543,7 @@ class InfraredOpticsImpedance(MaterialResponse):
 
     def zero_frequency_reflection(self, k_perp):
         ck = CONSTANTS.c * np.asarray(k_perp, dtype=float)
-        return ReflectionPair(
-            self._ones_like(k_perp), (self.omega_p - ck) / (self.omega_p + ck)
-        )
+        return ReflectionPair(1.0, (self.omega_p - ck) / (self.omega_p + ck))
 
 
 @dataclass(frozen=True)
@@ -573,5 +568,4 @@ class SkinEffectImpedance(MaterialResponse):
         return np.sqrt(xi * self.gamma) / self.omega_p
 
     def zero_frequency_reflection(self, k_perp):
-        one = self._ones_like(k_perp)
-        return ReflectionPair(one, one.copy())
+        return ReflectionPair(1.0, 1.0)

@@ -8,20 +8,18 @@ optical table whose dispersion integral reproduces the static permittivity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
-
-import numpy as np
 
 from .constants import ev_to_angular_frequency
 from .errors import DomainError
+from .fileio import load_optical_table
 from .materials import (
     ConstantEpsilon,
     Drude,
     DrudeParameters,
     IdealMetal,
     InfraredOpticsImpedance,
-    OpticalTable,
     Plasma,
     SkinEffectImpedance,
     TabulatedPermittivity,
@@ -66,15 +64,10 @@ def get_metallic_preset(name):
 
 def si_static_table():
     """Bundled synthetic silicon table with the constant-eps(0)=11.66 rule."""
-    text = resources.files("thermal_casimir.data").joinpath("si_static_imeps.txt").read_text()
-    rows = [line.split() for line in text.splitlines() if line.strip() and not line.startswith("#")]
-    omega_ev = np.array([float(r[0]) for r in rows])
-    im_eps = np.array([float(r[1]) for r in rows])
-    return OpticalTable(
-        omega=ev_to_angular_frequency(omega_ev),
-        im_eps=im_eps,
-        extrapolation=ConstantEpsilon(SI_STATIC_PERMITTIVITY),
-        provenance="bundled synthetic Si oscillator table (static permittivity 11.66)",
+    with resources.as_file(resources.files("thermal_casimir.data") / "si_static_imeps.txt") as path:
+        table = load_optical_table(path, ConstantEpsilon(SI_STATIC_PERMITTIVITY))
+    return replace(
+        table, provenance="bundled synthetic Si oscillator table (static permittivity 11.66)"
     )
 
 
@@ -101,7 +94,8 @@ def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, tab
         One of ``MODEL_KINDS``.
     preset : str
         Parameter preset for metallic prescriptions, or "Si-static" for the
-        bundled table.
+        bundled table; "" names none.  DomainError for any other name, for
+        every kind, even one that reads no preset.
     omega_p_ev, gamma_ev : float, optional
         Explicit overrides of the preset values, in eV.  DomainError if the
         prescription does not use the value: neither for "ideal" and
@@ -112,6 +106,9 @@ def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, tab
     for name, value in (("omega_p_ev", omega_p_ev), ("gamma_ev", gamma_ev)):
         if value is not None and kind in _OVERRIDES_READ and name not in _OVERRIDES_READ[kind]:
             raise DomainError(f"model {kind!r} does not use {name}")
+    if preset and preset.lower() not in (*METALLIC_PRESETS, *TABLE_PRESETS):
+        known = ", ".join([p.name for p in METALLIC_PRESETS.values()] + ["Si-static"])
+        raise DomainError(f"unknown preset {preset!r} (known: {known})")
     if kind == "ideal":
         return IdealMetal()
     if kind == "table":

@@ -77,8 +77,6 @@ def impedance_reflection(xi, k_perp, impedance):
         raise DomainError("impedance_reflection requires finite xi > 0")
     if not np.all((0.0 <= k_perp) & (k_perp < np.inf)):
         raise DomainError("impedance_reflection requires finite k_perp >= 0")
-    if not np.all((0.0 < impedance) & (impedance <= 1.0)):
-        raise DomainError("surface impedance must lie in (0, 1]")
     return impedance_q(xi, np.sqrt(k_perp**2 + (xi / CONSTANTS.c) ** 2), impedance)
 
 
@@ -86,11 +84,11 @@ def impedance_q(xi, q, impedance):
     """Leontovich amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
 
     The kernel behind :func:`impedance_reflection`.  It checks only the
-    impedance, which has the size of ``xi``; the caller guarantees xi > 0
-    and q >= xi/c.
+    impedance, which has the size of ``xi``, and rejects Z outside (0, 1],
+    NaN included; the caller guarantees xi > 0 and q >= xi/c.
     """
     impedance = np.asarray(impedance, dtype=float)
-    if np.any(impedance <= 0.0) or np.any(impedance > 1.0):
+    if not np.all((0.0 < impedance) & (impedance <= 1.0)):
         raise DomainError("surface impedance must lie in (0, 1]")
     cq = CONSTANTS.c * q
     z_xi = impedance * xi
@@ -108,7 +106,8 @@ def zero_frequency_reflection(model, k_perp):
 
     The l = 0 Matsubara term is never obtained as a limit of the finite
     frequency coefficients; each material carries an explicit rule and this
-    helper simply evaluates it.
+    helper evaluates it, as arrays shaped like ``k_perp`` (a rule may state a
+    constant amplitude as a plain float).
 
     Parameters
     ----------
@@ -119,4 +118,5 @@ def zero_frequency_reflection(model, k_perp):
     k_perp = np.asarray(k_perp, dtype=float)
     if not np.all((0.0 < k_perp) & (k_perp < np.inf)):
         raise DomainError("zero_frequency_reflection requires finite k_perp > 0")
-    return model.zero_frequency_reflection(k_perp)
+    return ReflectionPair(*(np.broadcast_to(r, k_perp.shape).astype(float)
+                            for r in model.zero_frequency_reflection(k_perp)))

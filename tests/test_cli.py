@@ -191,6 +191,27 @@ def test_override_the_model_does_not_use_exits_two(tmp_path, capsys, model, flag
     assert "does not use" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--model", "ideal"),
+    ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1",
+     "--table-file", "TABLE", "--extrapolation", "constant:2"),
+    ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1", "--model", "drude"),
+    ("optics-convert", "--table-file", "TABLE", "--extrapolation", "constant:2",
+     "--xi-min-ev", "0.1", "--xi-max-ev", "1", "--points", "2"),
+])
+def test_unknown_preset_exits_two_for_every_model(tmp_path, capsys, argv):
+    # a preset name is checked even where the model reads no preset
+    table = tmp_path / "table.txt"
+    table.write_text("0.1 1.0\n1.0 0.5\n10.0 0.1\n")
+    out = tmp_path / "out.csv"
+    out.write_text("previous result\n")
+    argv = [str(table) if arg == "TABLE" else arg for arg in argv]
+    code = main([*argv, "--preset", "Nonexistent", "--out", str(out)])
+    assert code == 2
+    assert out.read_text() == "previous result\n"
+    assert "unknown preset 'Nonexistent'" in capsys.readouterr().err
+
+
 _MODEL_KEYS = {"model", "preset", "table_file", "extrapolation", "omega_p_ev", "gamma_ev"}
 _GRID_KEYS = {"command", "z_min_um", "z_max_um", "points", "temperature_K", "tol"} | _MODEL_KEYS
 
@@ -326,6 +347,34 @@ class TestEntropyCommand:
                         "--gamma-map", str(good), "--points", "6", "--t-min", "50")
         assert code == 0
         assert out.exists()
+
+    def test_residual_fraction_gamma_map(self, tmp_path, drude_au):
+        # the floor 0.3 gamma is reached below 300 K * 0.3**(1/5) = 236 K, where
+        # the rows part from those of the default fraction 0.1
+        grid = ("--points", "5", "--t-min", "50")
+        texts = {}
+        for spec in ("residual:0.3", "residual"):
+            code, out = run(tmp_path, "entropy", "--z-um", "1", "--model", "drude",
+                            "--gamma-map", spec, *grid, name=f"{spec}.csv")
+            assert code == 0
+            texts[spec] = out.read_text()
+        scan = tc.nernst_verdict(drude_au, 1e-6, "residual", residual_fraction=0.3,
+                                 t_min=50.0, points=5,
+                                 config=tc.EvaluationConfig(rel_tolerance=1e-9))
+        _, rows = parse_csv(texts["residual:0.3"])
+        assert [(row["T_K"], row["entropy_J_per_K_m2"]) for row in rows] == [
+            (f"{t:.12e}", f"{s:.12e}") for t, s in zip(scan.temperatures, scan.entropy_values)]
+        assert parse_csv(texts["residual"])[1] != rows
+        assert "# gamma_map: residual:0.3" in texts["residual:0.3"].splitlines()
+
+    @pytest.mark.parametrize("spec", ["residual:abc", "residual:1.5"])
+    def test_bad_residual_fraction_exits_two(self, tmp_path, spec):
+        out = tmp_path / "out.csv"
+        out.write_text("previous result\n")
+        code = main(["entropy", "--z-um", "1", "--model", "drude", "--gamma-map", spec,
+                     "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "previous result\n"
 
 
 class TestPftCommand:

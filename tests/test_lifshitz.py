@@ -419,6 +419,31 @@ def test_engine_path_runs_no_frequency_check(monkeypatch):
     assert results() == expected
 
 
+def test_entropy_error_above_its_share_refines_to_the_last_level(monkeypatch):
+    # plasma, 1 um, 10 K: F meets tol 1e-9 at level 1, where the error of S is
+    # 8.3e-6 |S|; with half that as the share, every level short of the last
+    # is refused and the last one is returned, not raised, however it fares
+    z, temperature = 1e-6, 10.0
+    config = tc.EvaluationConfig(rel_tolerance=1e-9)
+    sums = {}
+    matsubara_sum = engine._matsubara_sum
+
+    def recording(*args):
+        result = matsubara_sum(*args)
+        sums[args[5]] = result[0]
+        return result
+
+    level_one = engine.entropy_pass(z, temperature, _model("plasma"), config)
+    assert level_one.error == pytest.approx(8.3e-6 * level_one.value, rel=0.01)
+    monkeypatch.setattr(engine, "_matsubara_sum", recording)
+    monkeypatch.setattr(engine, "_ENTROPY_REL_ERROR", 0.5 * 8.3e-6)
+    estimate = engine.entropy_pass(z, temperature, _model("plasma"), config)
+    assert list(sums) == [1, 2, 3]
+    assert estimate.value == -CONSTANTS.k_B / (8.0 * np.pi * z**2) * sums[3][1, 0]
+    assert estimate.value != level_one.value
+    assert not estimate.converged
+
+
 @lru_cache(maxsize=None)
 def _direct_sum(tag, z, temperature):
     return matsubara_sum_direct(z, temperature, _model(tag), level=2)

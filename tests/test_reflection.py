@@ -65,6 +65,12 @@ class TestImpedanceReflection:
             with pytest.raises(DomainError):
                 tc.impedance_reflection(1e15, 1e6, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, [0.1, math.nan]])
+    def test_kernel_rejects_nan_impedance(self, bad):
+        # the kernel holds the only (0, 1] check, which a NaN impedance fails
+        with pytest.raises(DomainError, match=r"surface impedance must lie in \(0, 1\]"):
+            reflection.impedance_q(1e15, 1e7, np.asarray(bad))
+
     @pytest.mark.parametrize("xi_factor", [0.01, 1.0 / 30.0])
     def test_agrees_with_fresnel_to_second_order_in_impedance(self, au_omega_p, xi_factor):
         # Leontovich regime: xi << omega_p so Z << 1; propagating k_perp.
@@ -112,7 +118,8 @@ class TestAmplitudeBounds:
             pair = model.reflection(xi, q, 300.0)
             assert np.all(np.abs(pair.r_tm) <= 1.0), model.tag
             assert np.all(np.abs(pair.r_te) <= 1.0), model.tag
-            zero = tc.zero_frequency_reflection(model, k_perp.ravel())
+            zero = tc.zero_frequency_reflection(model, k_perp)
+            assert zero.r_tm.shape == zero.r_te.shape == k_perp.shape, model.tag
             assert np.all(np.abs(zero.r_tm) <= 1.0), model.tag
             assert np.all(np.abs(zero.r_te) <= 1.0), model.tag
 

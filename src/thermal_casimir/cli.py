@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand resolves its parameters, runs the corresponding library
-computation and only then writes a single deterministic table (CSV or JSON)
-to --out or stdout.  Exit codes: 0 success, 2 usage or parse error, 3
-numerical failure.
+computation and returns its table: units, rows and any notes or
+diagnostics.  Only then does :func:`main` render it as one deterministic
+table (CSV or JSON) and write it to --out or stdout.  Exit codes: 0
+success, 2 usage or parse error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CONSTANTS, angular_frequency_to_ev
-from .entropy import ENTROPY_CONFIG, nernst_verdict
+from .entropy import nernst_verdict
 from .errors import ConvergenceError, DomainError, ExtrapolationError, PrescriptionError
 from .fileio import (
     FileFormatError,
@@ -28,7 +29,7 @@ from .fileio import (
     render_table,
 )
 from .geometry import GeometryCase, exact_cylinder_force, pft_force
-from .lifshitz import DEFAULT_CONFIG, EvaluationConfig, free_energy
+from .lifshitz import DEFAULT_CONFIG, ENTROPY_CONFIG, EvaluationConfig, free_energy
 from .materials import eps_from_table
 from .presets import DEFAULT_PRESET, MODEL_KINDS, build_model
 from .yukawa import exclusion_bound
@@ -120,17 +121,13 @@ def cmd_lifshitz_table(args):
     model = _resolve_model(args)
     grid = _log_grid(args.z_min_um, args.z_max_um, args.points, 1e-6, "z")
     results = [free_energy(float(z), args.temperature_K, model, config) for z in grid]
-    columns = ("z_m", "free_energy_J_per_m2", "pressure_Pa", "terms_used",
-               "zero_frequency_share", "error_estimate")
-    rows = [
-        (r.z, r.free_energy_per_area, r.pressure, r.terms_used,
-         r.zero_frequency_share, r.quadrature_error_estimate)
-        for r in results
-    ]
+    units = dict(_LIFSHITZ_UNITS)
     if args.command == "free-energy":
-        columns = columns[:2] + columns[3:]
-        rows = [row[:2] + row[3:] for row in rows]
-    return render_table(args.command, _run_config(args), columns, _LIFSHITZ_UNITS, rows, args.fmt)
+        del units["pressure_Pa"]
+    values = [dict(zip(_LIFSHITZ_UNITS, (r.z, r.free_energy_per_area, r.pressure, r.terms_used,
+                                         r.zero_frequency_share, r.quadrature_error_estimate)))
+              for r in results]
+    return {"units": units, "rows": [[v[c] for c in units] for v in values]}
 
 
 def _gamma_map_arguments(spec):
@@ -170,11 +167,9 @@ def cmd_entropy(args):
         "fit_intercepts": list(scan.fit_intercepts),
         "all_converged": bool(scan.all_converged),
     }
-    columns = ("T_K", "entropy_J_per_K_m2")
-    units = {"T_K": "K", "entropy_J_per_K_m2": "J/(K m^2)"}
-    rows = list(zip(scan.temperatures, scan.entropy_values))
-    return render_table("entropy", _run_config(args), columns, units, rows, args.fmt,
-                        diagnostics=diagnostics)
+    return {"units": {"T_K": "K", "entropy_J_per_K_m2": "J/(K m^2)"},
+            "rows": list(zip(scan.temperatures, scan.entropy_values)),
+            "diagnostics": diagnostics}
 
 
 _PFT_UNITS = {
@@ -203,12 +198,9 @@ def cmd_pft(args):
             "proximity-force result only, conservative |error| <= z/R"
         )
         row = (args.kind, case.z, case.radius, pft_value, None, None, flag)
-    columns = ("kind", "z_m", "R_m", "pft_value", "exact_value",
-               "rel_error_vs_pft", "validity_flag")
-    text = render_table("pft", _run_config(args), columns, _PFT_UNITS, [row], args.fmt, notes)
     if notes:
         print(f"note: {notes[0]}", file=sys.stderr)
-    return text
+    return {"units": _PFT_UNITS, "rows": [row], "notes": notes}
 
 
 def cmd_yukawa(args):
@@ -220,22 +212,17 @@ def cmd_yukawa(args):
         bound, geometry, lambdas,
         provenance=f"bound={config['bound_file']} geometry={config['geometry_file']}",
     )
-    columns = ("lambda_m", "alpha_max")
-    units = {"lambda_m": "m", "alpha_max": "1"}
-    rows = list(zip(curve.lambdas, curve.alpha_max))
-    return render_table("yukawa", config, columns, units, rows, args.fmt,
-                        notes=(curve.provenance,))
+    return {"units": {"lambda_m": "m", "alpha_max": "1"},
+            "rows": list(zip(curve.lambdas, curve.alpha_max)), "notes": (curve.provenance,)}
 
 
 def cmd_optics_convert(args):
     table = build_model("table", preset=args.preset, table=_table_file(args)).table
     xi = _log_grid(args.xi_min_ev, args.xi_max_ev, args.points, CONSTANTS.ev_to_rad_per_s, "xi")
     eps = np.atleast_1d(eps_from_table(xi, table))
-    columns = ("xi_rad_per_s", "xi_ev", "eps_i_xi")
-    units = {"xi_rad_per_s": "rad/s", "xi_ev": "eV", "eps_i_xi": "1"}
-    rows = [(x, angular_frequency_to_ev(x), e) for x, e in zip(xi, eps)]
-    return render_table("optics-convert", _run_config(args), columns, units, rows, args.fmt,
-                        notes=(table.provenance,))
+    return {"units": {"xi_rad_per_s": "rad/s", "xi_ev": "eV", "eps_i_xi": "1"},
+            "rows": [(x, angular_frequency_to_ev(x), e) for x, e in zip(xi, eps)],
+            "notes": (table.provenance,)}
 
 
 def build_parser():
@@ -305,7 +292,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        table = args.handler(args)
+        text = render_table(args.command, _run_config(args), fmt=args.fmt, **table)
         if args.out is not None:
             Path(args.out).write_text(text)
     except (FileFormatError, DomainError, ExtrapolationError, PrescriptionError,

@@ -22,14 +22,9 @@ import numpy as np
 from . import lifshitz
 from .constants import CONSTANTS, ZETA3
 from .errors import DomainError
-from .lifshitz import EntropyEstimate, EvaluationConfig  # noqa: F401  (re-exported)
-from .materials import Drude, PowerLawGamma
+from .lifshitz import ENTROPY_CONFIG, EntropyEstimate, EvaluationConfig  # noqa: F401  (re-exported)
+from .materials import Drude, Plasma, PowerLawGamma
 from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, refine, split_edges
-
-#: Engine tolerance of the free energy in an entropy pass: it sets the
-#: refinement level and the cut of F.  The difference of the two free energies,
-#: three to four orders below F itself, has its own cut and error figure.
-ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 
 #: Verdict thresholds in units of the extrapolation uncertainty.
 VIOLATION_THRESHOLD = 5.0
@@ -44,7 +39,7 @@ _ZERO_T_LEVELS = 7
 _FIT_VARIANTS = ((2, 12), (2, 9), (2, 6), (1, 5))
 
 
-def entropy(z, temperature, model, config=None, *, full_output=False):
+def entropy(z, temperature, model, config=ENTROPY_CONFIG, *, full_output=False):
     """Entropy per unit area S(z, T) = -dF/dT in J/(K m^2).
 
     One engine pass (:func:`.lifshitz.entropy_pass`) evaluates the free energy
@@ -52,23 +47,24 @@ def entropy(z, temperature, model, config=None, *, full_output=False):
     returns their exact central difference with an absolute error figure:
     the quadrature and summation parts of the difference sums, the bound on
     the terms past the cut, a rounding floor and the step error.  The engine
-    runs at ``config`` (default ``ENTROPY_CONFIG``) for the free energy.
+    runs at ``config`` (default ``ENTROPY_CONFIG``, 1e-9) for the free energy.
     With ``full_output`` an :class:`EntropyEstimate` is returned, converged
     when the error is at most 1e-3 |S|.  Raises DomainError unless z and T
     are positive and finite, and ConvergenceError if the free energy misses
     its tolerance at every refinement level.
     """
-    cfg = config if config is not None else ENTROPY_CONFIG
-    estimate = lifshitz.entropy_pass(z, temperature, model, cfg)
+    estimate = lifshitz.entropy_pass(z, temperature, model, config)
     return estimate if full_output else estimate.value
 
 
 def drude_zero_T_entropy(z, omega_p):
     """Zero-temperature entropy of the Drude prescription for a perfect lattice.
 
-    S(z, 0) = k_B / (16 pi z^2) * Int_0^inf y dy ln[1 - g(y)^2 e^-y] with
-    g = (y - sqrt(yhat^2 + y^2)) / (y + sqrt(yhat^2 + y^2)) and
-    yhat = 2 z omega_p / c.  Strictly negative for every omega_p > 0.
+    S(z, 0) = k_B / (16 pi z^2) * Int_0^inf y dy ln[1 - r_TE(y)^2 e^-y], the
+    l = 0 TE term of the plasma model: r_TE is ``Plasma(omega_p)``'s
+    zero-frequency TE amplitude at k_perp = y / (2 z), the one TE reflection
+    the Drude prescription drops at T = 0.  Strictly negative for every
+    omega_p > 0.
 
     The integrand behaves like y ln y at the origin, as the ideal-metal l = 0
     term does, so it is integrated with the embedded Gauss-Kronrod pair on the
@@ -89,14 +85,13 @@ def drude_zero_T_entropy(z, omega_p):
     """
     if not (0.0 < z < np.inf and 0.0 < omega_p < np.inf):
         raise DomainError("separation and plasma frequency must be positive and finite")
-    y_hat = 2.0 * z * omega_p / CONSTANTS.c
+    plasma = Plasma(omega_p)
     prefactor = CONSTANTS.k_B / (16.0 * np.pi * z**2)
 
     def evaluate(level):
         y, kronrod, gauss = kronrod_rule(split_edges(L0_EDGES, level - 1))
-        root = np.sqrt(y_hat**2 + y * y)
-        g = (y - root) / (y + root)
-        value, error = kronrod_sum(y * np.log1p(-(g * g) * np.exp(-y)), kronrod, gauss)
+        r_te = plasma.zero_frequency_reflection(y / (2.0 * z)).r_te
+        value, error = kronrod_sum(y * np.log1p(-(r_te * r_te) * np.exp(-y)), kronrod, gauss)
         return prefactor * value, error / max(abs(value), ZETA3)
 
     return refine(evaluate, _ZERO_T_LEVELS, _ZERO_T_REL_TOL,
@@ -183,7 +178,7 @@ def _extrapolate_to_zero(temperatures, values):
 
 
 def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=25,
-                   residual_fraction=0.1, config=None):
+                   residual_fraction=0.1, config=ENTROPY_CONFIG):
     """Scan S(z, T) toward T = 0 and classify the prescription.
 
     Parameters
@@ -198,6 +193,8 @@ def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=2
     t_max, t_min, points : float, float, int
         Log-spaced descending grid, defaults 300 K down to 1 K, 25 points;
         t_min may lie in the milli-Kelvin range (e.g. 1e-3).
+    config : EvaluationConfig
+        Engine tolerance of every entropy pass (default ``ENTROPY_CONFIG``).
 
     Returns
     -------
@@ -206,12 +203,12 @@ def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=2
         violation needs |S(z, 0+)| above five times the extrapolation
         uncertainty, a pass needs it below one uncertainty.
     """
-    if not 0.0 < z < np.inf:
-        raise DomainError("separation must be positive and finite")
     if not (0.0 < t_min < t_max < np.inf and isinstance(points, numbers.Integral)
             and points >= 5):
         raise DomainError("need finite 0 < t_min < t_max and an integer of at least 5 "
                           "grid points")
+    # the engine's point check, before a missing gamma map is reported
+    lifshitz._check_point(z, t_max)
     scan_model = _resolve_gamma_map(model, gamma_map, residual_fraction)
     temperatures = np.geomspace(t_max, t_min, points)
     estimates = [

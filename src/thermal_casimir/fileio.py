@@ -163,11 +163,11 @@ def config_hash(config):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def render_table(command, config, columns, units, rows, fmt, notes=(), diagnostics=None):
+def render_table(command, config, units, rows, fmt, notes=(), diagnostics=None):
     """Render a result table as deterministic CSV or JSON text.
 
-    ``rows`` is a sequence of equal-length value sequences matching
-    ``columns``; ``units`` maps column names to unit strings.  A
+    ``units`` maps each column name, in column order, to its unit string;
+    ``rows`` is a sequence of value sequences in that order.  A
     ``diagnostics`` mapping, if given, becomes a compact ``# json:`` header
     line in CSV and a ``"diagnostics"`` entry in JSON.
     """
@@ -182,8 +182,8 @@ def render_table(command, config, columns, units, rows, fmt, notes=(), diagnosti
         if diagnostics is not None:
             lines.append("# json: " + json.dumps(diagnostics, sort_keys=True,
                                                  separators=(",", ":")))
-        lines.append("# units: " + ",".join(units[c] for c in columns))
-        lines.append(",".join(columns))
+        lines.append("# units: " + ",".join(units.values()))
+        lines.append(",".join(units))
         for row in rows:
             lines.append(",".join(format_value(v) for v in row))
         return "\n".join(lines) + "\n"
@@ -192,8 +192,8 @@ def render_table(command, config, columns, units, rows, fmt, notes=(), diagnosti
             "command": command,
             "config": config,
             "config_hash": f"sha256:{digest}",
-            "columns": list(columns),
-            "units": {c: units[c] for c in columns},
+            "columns": list(units),
+            "units": dict(units),
             "notes": list(notes),
             "rows": [[_json_value(v) for v in row] for row in rows],
         }

@@ -137,6 +137,10 @@ class EvaluationConfig:
 
 
 DEFAULT_CONFIG = EvaluationConfig()
+#: Engine tolerance of the free energy in an entropy pass: it sets the
+#: refinement level and the cut of F.  The difference of the two free energies,
+#: three to four orders below F itself, has its own cut and error figure.
+ENTROPY_CONFIG = EvaluationConfig(rel_tolerance=1e-9)
 
 
 @dataclass(frozen=True)
@@ -451,7 +455,7 @@ def free_energy(z, temperature, model, config=DEFAULT_CONFIG, *, zero_frequency_
     return refine(evaluate, _LEVELS, config.rel_tolerance, "quadrature")[0]
 
 
-def entropy_pass(z, temperature, model, config=DEFAULT_CONFIG):
+def entropy_pass(z, temperature, model, config=ENTROPY_CONFIG):
     """Entropy per unit area S = -dF/dT, as an :class:`EntropyEstimate`, from one engine pass.
 
     S = -(F(T+) - F(T-)) / (2 delta T) at T+- = T (1 +- delta): the exact
@@ -462,13 +466,13 @@ def entropy_pass(z, temperature, model, config=DEFAULT_CONFIG):
     the majorant bound on the entropy terms past the cut, the rounding floor of
     the difference and the step error delta^2 |S|.
 
-    Panels are split once more while F misses ``config.rel_tolerance``, or
-    while the error of S exceeds ``_ENTROPY_REL_ERROR`` |S| and its rounding
-    floor alone does not, up to the last level; the estimate is converged when
-    its error is within ``_ENTROPY_REL_ERROR`` |S|.  Raises ConvergenceError,
-    carrying the last estimate, if F misses its tolerance, and
-    DomainError if the separation or the temperature is not positive and
-    finite.
+    Panels are split once more while F misses ``config.rel_tolerance``
+    (default ``ENTROPY_CONFIG``, 1e-9), or while the error of S exceeds
+    ``_ENTROPY_REL_ERROR`` |S| and its rounding floor alone does not, up to
+    the last level; the estimate is converged when its error is within
+    ``_ENTROPY_REL_ERROR`` |S|.  Raises ConvergenceError, carrying the last
+    estimate, if F misses its tolerance, and DomainError if the separation or
+    the temperature is not positive and finite.
     """
     _check_point(z, temperature)
     prefactor = CONSTANTS.k_B / (8.0 * np.pi * z**2)
@@ -503,8 +507,7 @@ def classical_limit(z, temperature, prescription="ideal"):
     ``"ideal"`` gives -k_B T zeta(3) / (8 pi z^2); ``"drude-like"`` carries
     only the TM zero-frequency term and is exactly half of that.
     """
-    if not (0.0 < z < math.inf and 0.0 < temperature < math.inf):
-        raise DomainError("separation and temperature must be positive and finite")
+    _check_point(z, temperature)
     value = -CONSTANTS.k_B * temperature * ZETA3 / (8.0 * np.pi * z**2)
     if prescription == "ideal":
         return value

@@ -320,7 +320,7 @@ def _grid_dispersion_integral(xi, table, level):
         kernel = omega2 + xi[block, None] ** 2
         np.divide(numerator, kernel, out=kernel)
         result[block], error[block] = kronrod_sum(kernel, kronrod, gauss)
-    return result, float(np.max(error / np.maximum(np.abs(result), 1e-300)))
+    return result, float(np.max(error / np.maximum(np.abs(result), 1e-300), initial=0.0))
 
 
 def eps_from_table(xi, table):
@@ -386,8 +386,8 @@ def eps_from_table(xi, table):
 def drude_absorption(omega, omega_p, gamma):
     """Real-axis Drude absorption Im eps = omega_p^2 gamma / (omega (omega^2 + gamma^2))."""
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
-        raise DomainError("real-axis frequency must be positive")
+    if not np.all((0.0 < omega) & (omega < np.inf)):
+        raise DomainError("real-axis frequency must be positive and finite")
     return omega_p**2 * gamma / (omega * (omega**2 + gamma**2))
 
 

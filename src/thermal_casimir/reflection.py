@@ -96,9 +96,8 @@ def impedance_q(xi, q, impedance):
 
 
 def perfect_q(xi, q, response):
-    """Perfect-reflector amplitudes (1, 1) at every (xi, q); ``response`` is not used."""
-    one = np.ones(np.broadcast(np.asarray(xi), np.asarray(q)).shape)
-    return ReflectionPair(one, one)
+    """Perfect-reflector amplitudes (1, 1) as values at every (xi, q); no argument is used."""
+    return ReflectionPair(1.0, 1.0)
 
 
 def zero_frequency_reflection(model, k_perp):

@@ -29,6 +29,8 @@ class YukawaParams:
     lam: float
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise DomainError("interaction strength must be finite")
         if not 0.0 < self.lam < math.inf:
             raise DomainError("interaction range must be positive and finite")
 
@@ -101,8 +103,8 @@ PlateLike = Union[SemispacePlate, FiniteSlab]
 def yukawa_potential(r, m1, m2, params):
     """Point-mass potential -G m1 m2 (1 + alpha e^{-r/lambda}) / r in J."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("distance must be positive")
+    if not np.all((0.0 < r) & (r < np.inf)):
+        raise DomainError("distance must be positive and finite")
     value = -CONSTANTS.G * m1 * m2 * (1.0 + params.alpha * np.exp(-r / params.lam)) / r
     return value if value.ndim else float(value)
 

@@ -199,6 +199,11 @@ class TestEntropyFiniteDifferences:
         assert abs(cold.value) < cold.error
         assert tc.entropy(1e-6, 10.0, plasma_au) == warm.value
 
+    def test_engine_pass_defaults_to_the_entropy_tolerance(self, drude_au):
+        # every entropy entry point runs F at ENTROPY_CONFIG unless given a config
+        assert lifshitz.entropy_pass(1e-6, 10.0, drude_au) == tc.entropy(
+            1e-6, 10.0, drude_au, full_output=True)
+
     @pytest.mark.parametrize("temperature", [300.0, 30.0, 3.0, 1.0, 0.1, 0.01])
     def test_ideal_metal_meets_the_scale_free_identity(self, ideal_metal, temperature):
         # F(z, T) = T^3 f(z T) for the ideal metal, so T S = z P - 3 F exactly;
@@ -299,6 +304,11 @@ class TestNernstVerdict:
         for points in (5.5, 25.0, "25", None):
             with pytest.raises(DomainError, match="integer"):
                 tc.nernst_verdict(plasma_au, 1e-6, points=points)
+
+    def test_bad_separation_is_reported_before_a_missing_gamma_map(self, drude_au):
+        # the CLI's default Drude model carries no gamma map
+        with pytest.raises(DomainError, match="separation must be positive and finite"):
+            tc.nernst_verdict(drude_au, -1e-6)
 
     def test_perfect_lattice_scan_runs_every_sum_at_level_one(self, drude_au, sum_levels):
         # the tail-integral ladder is sized for level 1 on this scan; an

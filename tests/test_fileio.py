@@ -146,11 +146,10 @@ class TestRendering:
         assert config_hash({"a": 1}) != config_hash({"a": 2})
 
     def test_render_csv_and_json_agree_on_rows(self):
-        columns = ("x", "y")
         units = {"x": "m", "y": "Pa"}
         rows = [(1.0, -2.0), (2.0, np.inf)]
-        csv_text = render_table("demo", {"p": 1}, columns, units, rows, "csv")
-        json_text = render_table("demo", {"p": 1}, columns, units, rows, "json")
+        csv_text = render_table("demo", {"p": 1}, units, rows, "csv")
+        json_text = render_table("demo", {"p": 1}, units, rows, "json")
         assert "1.000000000000e+00,-2.000000000000e+00" in csv_text
         assert csv_text.splitlines()[-1].endswith("inf")
         document = json.loads(json_text)

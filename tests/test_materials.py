@@ -5,7 +5,7 @@ import thermal_casimir as tc
 from thermal_casimir.constants import CONSTANTS, ev_to_angular_frequency
 from thermal_casimir.errors import DomainError, ExtrapolationError
 from thermal_casimir.materials import drude_absorption
-from thermal_casimir.presets import get_metallic_preset, si_static_table
+from thermal_casimir.presets import MODEL_KINDS, build_model, get_metallic_preset, si_static_table
 
 
 class TestMatsubaraFrequency:
@@ -144,6 +144,7 @@ class TestGammaMaps:
         # before, the nan relaxation surfaced as ConvergenceError "(achieved nan)"
         lambda v: tc.free_energy(1e-6, 10.0, tc.Drude(tc.DrudeParameters(1e16, 1e13,
                                                                          lambda t: v))),
+        lambda v: drude_absorption(v, 1e16, 1e13),
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, build, value):
@@ -237,3 +238,10 @@ class TestPresets:
         low = tc.eps_from_table(1e10, table)
         assert low == pytest.approx(11.66, rel=1e-3)
         assert tc.eps_from_table(1e19, table) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_response_of_no_frequencies_is_empty(kind):
+    model = build_model(kind, preset="Si-static" if kind == "table" else "Au-paper")
+    values = model.response(np.array([]), 300.0)
+    assert isinstance(values, np.ndarray) and values.shape == (0,)

@@ -303,6 +303,8 @@ class TestBodyValidation:
                                           tc.YukawaParams(1.0, 1e-6)),
         lambda v: tc.yukawa_force_sphere_plate(v, tc.Sphere(1e-4, GOLD), tc.SemispacePlate(GOLD),
                                                tc.YukawaParams(1.0, 1e-6)),
+        lambda v: tc.yukawa_potential(v, 1.0, 1.0, tc.YukawaParams(1.0, 1e-6)),
+        lambda v: tc.YukawaParams(v, 1e-6),
     ])
     def test_non_finite_parameters_rejected(self, build, value):
         with pytest.raises(DomainError, match="finite"):

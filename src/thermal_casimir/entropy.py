@@ -22,7 +22,7 @@ import numpy as np
 from . import lifshitz
 from .constants import CONSTANTS, ZETA3
 from .errors import DomainError
-from .lifshitz import ENTROPY_CONFIG, EntropyEstimate, EvaluationConfig  # noqa: F401  (re-exported)
+from .lifshitz import ENTROPY_CONFIG
 from .materials import Drude, Plasma, PowerLawGamma
 from .quadrature import L0_EDGES, kronrod_rule, kronrod_sum, refine, split_edges
 
@@ -48,10 +48,10 @@ def entropy(z, temperature, model, config=ENTROPY_CONFIG, *, full_output=False):
     the quadrature and summation parts of the difference sums, the bound on
     the terms past the cut, a rounding floor and the step error.  The engine
     runs at ``config`` (default ``ENTROPY_CONFIG``, 1e-9) for the free energy.
-    With ``full_output`` an :class:`EntropyEstimate` is returned, converged
-    when the error is at most 1e-3 |S|.  Raises DomainError unless z and T
-    are positive and finite, and ConvergenceError if the free energy misses
-    its tolerance at every refinement level.
+    With ``full_output`` an :class:`.lifshitz.EntropyEstimate` is returned,
+    converged when the error is at most 1e-3 |S|.  Raises DomainError unless
+    z and T are positive and finite, and ConvergenceError if the free energy
+    misses its tolerance at every refinement level.
     """
     estimate = lifshitz.entropy_pass(z, temperature, model, config)
     return estimate if full_output else estimate.value

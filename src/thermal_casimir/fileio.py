@@ -140,17 +140,13 @@ def load_geometry_pair(path):
 
 
 def format_value(value):
+    """One CSV cell: the :func:`_json_value` of ``value``, booleans as yes/no."""
+    value = _json_value(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if np.isinf(value):
-            return "inf"
-        return f"{float(value):.12e}"
-    return str(value)
+    return f"{value:.12e}" if isinstance(value, float) else str(value)
 
 
 def config_hash(config):
@@ -204,6 +200,7 @@ def render_table(command, config, units, rows, fmt, notes=(), diagnostics=None):
 
 
 def _json_value(value):
+    """``value`` as a JSON value; a non-finite float becomes "inf", "-inf" or "nan"."""
     if value is None:
         return None
     if isinstance(value, (bool, np.bool_)):
@@ -211,5 +208,6 @@ def _json_value(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return "inf" if np.isinf(value) else float(value)
+        value = float(value)
+        return value if math.isfinite(value) else str(value)
     return str(value)

@@ -52,7 +52,8 @@ Gregory terms, tail nodes at continuous l) at T(1 + delta) and T(1 - delta)
 on the same l values, y-offsets and l-space weights.  The l = 0 term does
 not depend on T and enters only through the k_B T prefactor.  The result is
 S = -(F+ - F-) / (2 delta T), the exact central difference of one fixed
-discretization, with its own error figure.
+discretization, with its own error figure, in which the pressure majorant
+bounds the difference terms past the cut (a proof for the ideal metal only).
 
 Everything here is a pure function of immutable inputs, reduced in a fixed
 order, so results are bit-reproducible for a fixed configuration.
@@ -170,8 +171,9 @@ class LifshitzResult:
 class EntropyEstimate(NamedTuple):
     """Entropy with its absolute error figure and whether that error is small.
 
-    ``converged`` is true when ``error`` is at most 1e-3 |value|; a value
-    within its error of zero is not converged.
+    ``converged`` is true when ``error`` is at most 1e-3 |value|: an exact
+    zero with zero error counts as converged, any other value within its
+    error of zero does not.
     """
 
     value: float
@@ -260,37 +262,35 @@ def _terms(z, temperature, model, indices, y_step, rule, entropy):
     return np.concatenate(parts, axis=2) if parts else np.zeros((2, 2, 0))
 
 
-def _majorant_tail(a, y_step, entropy=False):
-    """Bounds on the summed |F| and |P| terms, or |F| and entropy terms, with y_l >= a.
+def _majorant_tail(a, y_step):
+    """Bounds on the summed |F| and |P| terms with y_l >= a; the P one also bounds D.
 
     One ideal-metal term is at most e(a) = 2 e^-a / (1 - e^-a) times (a + 1)
-    for F and (a^2 + 2a + 2) for P; the sum over l is at most the first term
-    plus the integral of the bound over [a, inf) divided by y_step.  An F term
-    depends on T only through a = l y_step, so T d/dT of it is a times its
-    a-derivative 2 a |ln(1 - e^-a)| <= a e(a); the entropy term f + T df/dT is
-    therefore at most (a + 1)^2 e(a), which falls for a >= 1, so the entropy
-    bound needs a >= 1 (the others hold for a > 0).  The exponent is capped
-    below overflow, which only loosens the bound.
+    for F and (a^2 + 2a + 2) for P, both falling for every a > 0; the sum over
+    l is at most the first term plus the integral of the bound over [a, inf)
+    divided by y_step.  T d/dT of an F term is a times its a-derivative
+    2 a |ln(1 - e^-a)| <= a e(a), so a term f + T df/dT of D (delta -> 0) is
+    at most (a^2 + a + 1) e(a): proven for the ideal metal, and only tested
+    for dispersive models and gamma(T) maps, whose terms also vary with T
+    through xi and gamma.  The exponent is capped below overflow, which only
+    loosens the bound.
     """
     scale = 2.0 / math.expm1(min(a, 700.0))
-    if entropy:
-        return (scale * (a + 1.0 + (a + 2.0) / y_step),
-                scale * ((a + 1.0) ** 2 + (a * a + 4.0 * a + 5.0) / y_step))
     return (scale * (a + 1.0 + (a + 2.0) / y_step),
             scale * (a * a + 2.0 * a + 2.0 + (a * a + 4.0 * a + 6.0) / y_step))
 
 
-def _cut(y_step, targets, entropy=False):
+def _cut(y_step, targets):
     """y (>= 1) where the majorant tail of each quantity is within its target.
 
-    ``targets`` holds one positive target per quantity of
-    :func:`_majorant_tail`.  The log of the bound falls with slope close to
-    -1, so each step moves by the log excess.
+    ``targets`` holds one positive target per entry of :func:`_majorant_tail`.
+    The log of the bound falls with slope close to -1, so each step moves by
+    the log excess.
     """
     a = 1.0
     for _ in range(20):
         excess = max(math.log(bound / target)
-                     for bound, target in zip(_majorant_tail(a, y_step, entropy), targets))
+                     for bound, target in zip(_majorant_tail(a, y_step), targets))
         a = max(1.0, a + excess)
         if a == 1.0 or abs(excess) < 1e-3:
             break
@@ -326,12 +326,11 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, entropy=Fa
     def cut_from(sums):
         # every F term is <= 0 and every P term >= 0, so |partial sum| <= |sum|
         targets = _SUM_SHARE * tolerance * np.abs(sums[:, 0])
-        if not entropy:
-            return _cut(y_step, targets)
-        # a partial D need not be near the final one, which may cancel to the
-        # rounding floor; a share of that floor bounds the cut of D
-        targets[1] = _SUM_SHARE * _entropy_rounding(sums[0, 0])
-        return _cut(y_step, targets, True)
+        if entropy:
+            # a partial D need not be near the final one, which may cancel to the
+            # rounding floor; a share of that floor bounds the cut of D
+            targets[1] = _SUM_SHARE * _entropy_rounding(sums[0, 0])
+        return _cut(y_step, targets)
 
     def terms(indices):
         return _terms(z, temperature, model, indices, y_step, rule, entropy)
@@ -342,7 +341,7 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, entropy=Fa
 
     def finish(sums, outer_error, summation, truncated_from, count):
         errors = (np.abs(sums[:, 0] - sums[:, 1]) + outer_error, summation,
-                  np.array(_majorant_tail(truncated_from, y_step, entropy)))
+                  np.array(_majorant_tail(truncated_from, y_step)))
         return sums, errors, count, zero[0, 0] / sums[0, 0]
 
     zero_f, zero_p = _zero_term(z, l0_model, rule, not entropy)
@@ -369,7 +368,7 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, entropy=Fa
         summation = np.abs(gregory[:, 0] @ _GREGORY_LAST)
         # |sum| <= |partial| + the majorant of the terms past the head, per quantity
         if fits(summation,
-                np.abs(partial[:, 0]) + _majorant_tail(head_end * y_step, y_step, entropy)):
+                np.abs(partial[:, 0]) + _majorant_tail(head_end * y_step, y_step)):
             nodes, kronrod, gauss = kronrod_rule(edges)
             values = terms(nodes / y_step)
             sums = (zero + head[:, :, : exact - 1].sum(axis=2) + gregory @ _GREGORY_WEIGHTS
@@ -463,8 +462,8 @@ def entropy_pass(z, temperature, model, config=ENTROPY_CONFIG):
     are set once from F at T (the mean of both sums), and whose terms are taken
     at both temperatures on the same l values, y-offsets and l-space weights.
     The error adds the quadrature and summation parts of the difference sums,
-    the majorant bound on the entropy terms past the cut, the rounding floor of
-    the difference and the step error delta^2 |S|.
+    the pressure majorant past the cut (see :func:`_majorant_tail`), the
+    rounding floor of the difference and the step error delta^2 |S|.
 
     Panels are split once more while F misses ``config.rel_tolerance``
     (default ``ENTROPY_CONFIG``, 1e-9), or while the error of S exceeds

@@ -3,7 +3,10 @@
 Run as ``PYTHONPATH=src python tests/battery.py``.  It prints the number of
 results and the sha256 of ``repr`` of the result list, so two source trees
 can be compared for bitwise-identical results on the same machine with one
-command each.  pytest does not collect this file.
+command each.  Two more lines give the same for each engine mode on its own:
+the free-energy tuples, then the rest (the ``entropy_pass`` tuples and the
+two scans), so a change shows which mode it moved.  pytest does not collect
+this file.
 
 The battery covers every model kind (``table`` on the Si-static preset, the
 others on Au-paper) at z in {5 nm, 0.1, 1, 10 um}, T in {1, 30, 300 K} and
@@ -48,9 +51,17 @@ def battery():
     return results
 
 
+def fingerprint(results):
+    """Count and sha256 of ``repr`` of a result list."""
+    return f"{len(results)} {hashlib.sha256(repr(results).encode()).hexdigest()}"
+
+
 def main():
     results = battery()
-    print(len(results), hashlib.sha256(repr(results).encode()).hexdigest())
+    print(fingerprint(results))
+    # the free-energy tuples are the only ones that start with a model tag
+    print("F/P:", fingerprint([r for r in results if r[0] in MODEL_KINDS]))
+    print("entropy:", fingerprint([r for r in results if r[0] not in MODEL_KINDS]))
 
 
 if __name__ == "__main__":

@@ -139,6 +139,8 @@ class TestRendering:
         assert format_value(True) == "yes"
         assert format_value(7) == "7"
         assert format_value(np.inf) == "inf"
+        assert format_value(-np.inf) == "-inf"
+        assert format_value(np.nan) == "nan"
         assert format_value(1.5) == "1.500000000000e+00"
 
     def test_config_hash_is_order_insensitive(self):
@@ -147,11 +149,15 @@ class TestRendering:
 
     def test_render_csv_and_json_agree_on_rows(self):
         units = {"x": "m", "y": "Pa"}
-        rows = [(1.0, -2.0), (2.0, np.inf)]
+        rows = [(1.0, -2.0), (2.0, np.inf), (-np.inf, np.nan)]
         csv_text = render_table("demo", {"p": 1}, units, rows, "csv")
         json_text = render_table("demo", {"p": 1}, units, rows, "json")
         assert "1.000000000000e+00,-2.000000000000e+00" in csv_text
-        assert csv_text.splitlines()[-1].endswith("inf")
-        document = json.loads(json_text)
-        assert document["rows"][1][1] == "inf"
+        assert csv_text.splitlines()[-2:] == ["2.000000000000e+00,inf", "-inf,nan"]
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        document = json.loads(json_text, parse_constant=reject)
+        assert document["rows"][1:] == [[2.0, "inf"], ["-inf", "nan"]]
         assert document["units"]["y"] == "Pa"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -49,9 +50,17 @@ class TestFreeEnergy:
         )
 
     def test_vacuum_gives_exactly_zero(self):
-        result = tc.free_energy(1e-6, 300.0, VacuumModel())
-        assert result.free_energy_per_area == 0.0
-        assert result.pressure == 0.0
+        # nothing reflects at l = 0 .. 23, the first exact terms and Gregory
+        # terms, so the engine returns the exact zero at once
+        table = tc.OpticalTable(np.geomspace(1e14, 1e16, 20), np.zeros(20),
+                                tc.ConstantEpsilon(1.0))
+        for vacuum in (VacuumModel(), tc.TabulatedPermittivity(table)):
+            result = tc.free_energy(1e-6, 300.0, vacuum)
+            assert (result.free_energy_per_area, result.pressure) == (0.0, 0.0)
+            assert (result.quadrature_error_estimate, result.zero_frequency_share) == (0.0, 0.0)
+            assert result.terms_used == 24
+            # an exact zero with zero error counts as converged
+            assert tuple(engine.entropy_pass(1e-6, 300.0, vacuum)) == (0.0, True, 0.0)
 
     def test_millimetre_separation_is_the_zero_frequency_term(self, drude_au):
         # the first l >= 1 term sits at y_1 > 700, past where exp(-y) underflows
@@ -501,10 +510,25 @@ class TestDirectSum:
             _assert_matches_direct_sum(tag, z, temperature, tolerance)
 
 
-@settings(max_examples=40, deadline=None)
-@given(tag=st.sampled_from(_TAGS), log_z=st.floats(-7.5, -5.0),
-       log_y_step=st.floats(math.log10(0.05), math.log10(5.0)), head=st.floats(0.0, 30.0))
-def test_partial_sum_plus_majorant_bounds_the_sum(tag, log_z, log_y_step, head):
+def _gamma_map_model(name):
+    """Au Drude model with the relaxation map of a Nernst scan, "perfect-lattice" or "residual"."""
+    params = _model("drude").parameters
+    floor = 0.1 * params.gamma if name == "residual" else 0.0
+    mapping = tc.PowerLawGamma(params.gamma, params.reference_temperature, floor=floor)
+    return tc.Drude(dataclasses.replace(params, gamma_of_T=mapping))
+
+
+# every model kind, plus the Drude models of the Nernst scans, whose terms see T
+# through gamma(T) as well
+_BOUNDED_MODELS = ([_model(tag) for tag in _TAGS]
+                   + [_gamma_map_model(name) for name in ("perfect-lattice", "residual")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(_BOUNDED_MODELS),
+       log_z=st.floats(-7.5, -5.0), log_y_step=st.floats(math.log10(0.05), math.log10(5.0)),
+       head=st.floats(0.0, 30.0))
+def test_partial_sum_plus_majorant_bounds_the_sum(model, log_z, log_y_step, head):
     # the bound behind the tail-integral gate: every F term is <= 0 and every P
     # term >= 0, so |sum| <= |sum over l < L| + the majorant of the terms l >= L;
     # L y_step stays below 31, where the majorant is still above rounding, and
@@ -512,7 +536,7 @@ def test_partial_sum_plus_majorant_bounds_the_sum(tag, log_z, log_y_step, head):
     z, y_step = 10.0**log_z, 10.0**log_y_step
     exact = 1 + int(head / y_step)
     temperature = y_step * CONSTANTS.hbar * CONSTANTS.c / (4.0 * np.pi * CONSTANTS.k_B * z)
-    model, rule = _model(tag), engine._rule(2)
+    rule = engine._rule(2)
     partial = (np.stack(engine._zero_term(z, model, rule, True))[:, 0]
                + engine._terms(z, temperature, model, np.arange(1, exact), y_step, rule,
                                False)[:, 0].sum(axis=1))
@@ -521,6 +545,12 @@ def test_partial_sum_plus_majorant_bounds_the_sum(tag, log_z, log_y_step, head):
     prefactor = CONSTANTS.k_B * temperature / (8.0 * np.pi * z**2)
     assert abs(direct_f / prefactor) <= bound[0] * (1.0 + 1e-12)
     assert abs(direct_p * z / prefactor) <= bound[1] * (1.0 + 1e-12)
+    # the terms of the entropy difference D have either sign; the P entry bounds
+    # their sum over l >= L, taken term by term up to l y_step = 80 (proven for
+    # the ideal metal only)
+    tail_d = engine._terms(z, temperature, model, np.arange(exact, int(80.0 / y_step) + 1),
+                           y_step, rule, True)[1, 0]
+    assert abs(math.fsum(tail_d)) <= engine._majorant_tail(exact * y_step, y_step)[1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,15 @@ Gauss inside 15-point Kronrod) on every panel: one evaluation of the
 integrand on the Kronrod nodes gives both sums.  The Kronrod sum is the
 result; its difference from the Gauss sum is the quadrature error estimate.
 
+The panels of a term l >= 1 are graded towards its lower end, for the terms
+whose y_l is small.  A term lies at least y_l from its nearest singularities,
+so once y_l reaches a graded edge e, one first panel [0, e] resolves it as
+well as the graded panels resolve a term with y_l near 0.  Band 0 is the full
+graded rule (150 nodes per term); bands 1 to 4 merge the panels below
+e = 1/64, 1/16, 1/4 and 1 (135, 120, 105 and 90 nodes).  The entropy pass
+takes each block of terms on the band of its first term; F and P take every
+term on band 0.
+
 The sum over l has one path at every temperature:
 
 * terms l < L are summed exactly;
@@ -49,11 +58,12 @@ the change of variables, so no finite differencing is involved.
 The engine's other mode is the entropy pass (:func:`entropy_pass`).  It makes
 L, the gate and the cut once, and takes every F term integral (exact terms,
 Gregory terms, tail nodes at continuous l) at T(1 + delta) and T(1 - delta)
-on the same l values, y-offsets and l-space weights.  The l = 0 term does
-not depend on T and enters only through the k_B T prefactor.  The result is
-S = -(F+ - F-) / (2 delta T), the exact central difference of one fixed
-discretization, with its own error figure, in which the pressure majorant
-bounds the difference terms past the cut (a proof for the ideal metal only).
+on the same l values, y-offsets, band rules and l-space weights.  The l = 0
+term does not depend on T and enters only through the k_B T prefactor.  The
+result is S = -(F+ - F-) / (2 delta T), the exact central difference of one
+fixed discretization, with its own error figure, in which the pressure
+majorant bounds the difference terms past the cut (a proof for the ideal
+metal only).
 
 Everything here is a pure function of immutable inputs, reduced in a fixed
 order, so results are bit-reproducible for a fixed configuration.
@@ -79,7 +89,8 @@ from .quadrature import L0_EDGES, kronrod_rule, refine, split_edges
 # scale 2 z omega_p / c, which are small at low T and at sub-nm z; so the first
 # panels are graded by factors of 4 down to 1/256, as L0_EDGES is.  Past y = 1
 # the exp(-y) envelope is smooth and the panels widen to 2.5, 5, 10 and 20:
-# 150 nodes per term.
+# 150 nodes per term.  The graded edges past the first (those in (0, 1]) also
+# set the band rules of :func:`_rule`, down to 90 nodes for y_l >= 1.
 _LK_EDGES = (0.0, 1 / 256, 1 / 64, 1 / 16, 1 / 4, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0)
 # First L: terms l < L are summed exactly, the rest by the tail integral.
 _EXACT_TERMS = 16
@@ -181,20 +192,29 @@ class EntropyEstimate(NamedTuple):
     error: float
 
 
-# Kronrod nodes of one refinement level for l = 0 and l >= 1; each weight matrix
-# holds the Kronrod weights in row 0 and the embedded Gauss weights in row 1, so
-# ``weights @ values`` gives the (result, estimate) pair of integrals.
-_Rule = namedtuple("_Rule", "l0_nodes l0_weights lk_nodes lk_weights")
+# Kronrod nodes of one refinement level for l = 0 and, per band, for l >= 1; each
+# weight matrix holds the Kronrod weights in row 0 and the embedded Gauss weights
+# in row 1, so ``weights @ values`` gives the (result, estimate) pair of integrals.
+# ``bands`` holds one (nodes, weights) pair per band and ``band_floors`` the
+# lowest y_l each band serves.
+_Rule = namedtuple("_Rule", "l0_nodes l0_weights bands band_floors")
 
 
 @lru_cache(maxsize=None)
 def _rule(level):
-    """Cached rule on L0_EDGES and _LK_EDGES, every panel split ``level - 1`` times."""
-    parts = []
-    for edges in (L0_EDGES, _LK_EDGES):
+    """Cached rules on L0_EDGES and the bands of _LK_EDGES, every panel split ``level - 1`` times.
+
+    Band 0 is _LK_EDGES itself and serves every term.  Band k >= 1 replaces the
+    graded panels below the k-th graded edge e (the edges in (0, 1] past the
+    first) with one first panel [0, e] and serves the terms with y_l >= e.
+    """
+    def pair(edges):
         nodes, kronrod, gauss = kronrod_rule(split_edges(edges, level - 1))
-        parts += [nodes, np.stack((kronrod, gauss))]
-    return _Rule(*parts)
+        return nodes, np.stack((kronrod, gauss))
+
+    graded = [e for e in _LK_EDGES[2:] if e <= 1.0]
+    bands = [pair(_LK_EDGES)] + [pair([0.0] + [x for x in _LK_EDGES if x >= e]) for e in graded]
+    return _Rule(*pair(L0_EDGES), tuple(bands), np.array([0.0] + graded))
 
 
 def _accumulate(pair, y, decay, want_pressure):
@@ -226,16 +246,22 @@ def _zero_term(z, l0_model, rule, want_pressure):
     return term_f, term_p
 
 
-def _positive_terms(z, temperature, model, indices, y_step, rule, want_pressure):
-    """(Kronrod, Gauss) rows of term integrals for l >= 1; l need not be an integer."""
+def _positive_terms(z, temperature, model, indices, y_step, band, want_pressure):
+    """(Kronrod, Gauss) rows of F term integrals for l >= 1, then of P ones with ``want_pressure``.
+
+    ``band`` is the (nodes, weights) pair of one band of the rule; l need not
+    be an integer.
+    """
+    nodes, weights = band
     idx = np.asarray(indices, dtype=float)
     xi = (2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar) * idx[:, None]
-    y = y_step * idx[:, None] + rule.lk_nodes[None, :]
+    y = y_step * idx[:, None] + nodes[None, :]
     pair = model.reflection(xi, y / (2.0 * z), temperature)
     f_val, p_val = _accumulate(pair, y, np.exp(-y), want_pressure)
-    term_f = rule.lk_weights @ (y * f_val).T
-    term_p = rule.lk_weights @ (y * y * p_val).T if want_pressure else np.zeros_like(term_f)
-    return term_f, term_p
+    rows = [weights @ (y * f_val).T]
+    if want_pressure:
+        rows.append(weights @ (y * y * p_val).T)
+    return rows
 
 
 def _terms(z, temperature, model, indices, y_step, rule, entropy):
@@ -245,20 +271,32 @@ def _terms(z, temperature, model, indices, y_step, rule, entropy):
     and T(1 - delta) combined into their mean and their difference quotient
     ((1 + delta) f+ - (1 - delta) f-) / (2 delta), both on the same l values and
     y-offsets.
-    """
-    step = max(1, _CHUNK_NODES // rule.lk_nodes.size)
 
-    def rows(part):
+    F and P are taken on band 0.  The entropy terms fill blocks greedily over
+    the ascending ``indices``: a block starts at the lowest remaining index,
+    takes the band of that term's y_l at T(1 - delta), which serves it at both
+    temperatures and every later term of the block (each lies further from the
+    singularity), and holds as many terms as fit _CHUNK_NODES nodes of the band.
+    """
+    def rows(part, band):
         if not entropy:
-            return np.stack(_positive_terms(z, temperature, model, part, y_step, rule, True))
-        upper, lower = (_positive_terms(z, scale * temperature, model, part, scale * y_step,
-                                        rule, False)[0]
-                        for scale in (1.0 + _ENTROPY_STEP, 1.0 - _ENTROPY_STEP))
+            return np.stack(_positive_terms(z, temperature, model, part, y_step, band, True))
+        (upper,), (lower,) = (_positive_terms(z, scale * temperature, model, part,
+                                              scale * y_step, band, False)
+                              for scale in (1.0 + _ENTROPY_STEP, 1.0 - _ENTROPY_STEP))
         return np.stack((0.5 * (upper + lower),
                          ((1.0 + _ENTROPY_STEP) * upper - (1.0 - _ENTROPY_STEP) * lower)
                          / (2.0 * _ENTROPY_STEP)))
 
-    parts = [rows(indices[start : start + step]) for start in range(0, indices.size, step)]
+    floors = rule.band_floors if entropy else rule.band_floors[:1]
+    parts, start = [], 0
+    while start < indices.size:
+        # the band of the block's first term, whose y_l is lowest at T(1 - delta)
+        lowest = indices[start] * ((1.0 - _ENTROPY_STEP) * y_step)
+        band = rule.bands[np.searchsorted(floors, lowest, side="right") - 1]
+        stop = start + max(1, _CHUNK_NODES // band[0].size)
+        parts.append(rows(indices[start:stop], band))
+        start = stop
     return np.concatenate(parts, axis=2) if parts else np.zeros((2, 2, 0))
 
 

@@ -221,11 +221,12 @@ def lifshitz_sum_quad(z, temperature, eps_of_xi, zero_frequency_pair, rel_tol):
 def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
     """Free energy per area and pressure, summing every Matsubara term one by one.
 
-    Uses the engine's term integrals at refinement ``level`` and adds every
-    term with y_l = l * y_step <= ``y_stop``, far past any cut the engine
-    makes (the ideal-metal tail beyond y = 80 is below 1e-30 of one term),
-    with no integral, no endpoint correction and no stop test.  Terms are
-    added with ``math.fsum``.  Returns (F, P) in J/m^2 and Pa.
+    Uses the engine's term integrals at refinement ``level`` on band 0, the
+    full rule that serves every term, and adds every term with
+    y_l = l * y_step <= ``y_stop``, far past any cut the engine makes (the
+    ideal-metal tail beyond y = 80 is below 1e-30 of one term), with no
+    integral, no endpoint correction and no stop test.  Terms are added with
+    ``math.fsum``.  Returns (F, P) in J/m^2 and Pa.
     """
     from thermal_casimir import lifshitz as engine
 
@@ -236,8 +237,8 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
     count = int(y_stop / y_step)
     for start in range(1, count + 1, 256):
         indices = np.arange(start, min(start + 256, count + 1))
-        block_f, block_p = engine._positive_terms(z, temperature, model, indices, y_step, rule,
-                                                  True)
+        block_f, block_p = engine._positive_terms(z, temperature, model, indices, y_step,
+                                                  rule.bands[0], True)
         terms_f.append(block_f[0])
         terms_p.append(block_p[0])
     prefactor = sc.k * temperature / (8.0 * np.pi * z**2)
@@ -294,3 +295,18 @@ def ideal_metal_mp(z, temperature, direct=16, corrections=6, digits=30):
             sums.append(total)
         prefactor = mp.mpf(sc.k) * temperature / (8 * mp.pi * z**2)
         return prefactor * sums[0], -prefactor / z * sums[1]
+
+
+def ideal_metal_term_mp(a, width=40.0, digits=30):
+    """Ideal-metal F term integral 2 Int_a^(a + width) y ln(1 - e^-y) dy, as an mpf.
+
+    The integral over [a, inf) is the closed form -2 [a Li_2(e^-a) + Li_3(e^-a)]
+    (see :func:`ideal_metal_mp`); its value past a + ``width`` is subtracted, so
+    the result compares with a term rule that ends ``width`` past its y_l.
+    """
+    with mp.workdps(digits):
+        def tail(start):
+            start = mp.mpf(start)
+            return -2 * (start * mp.polylog(2, mp.exp(-start)) + mp.polylog(3, mp.exp(-start)))
+
+        return tail(a) - tail(mp.mpf(a) + mp.mpf(width))

@@ -16,8 +16,8 @@ from thermal_casimir.constants import CONSTANTS
 from thermal_casimir.errors import ConvergenceError, DomainError
 from thermal_casimir.reflection import ReflectionPair
 
-from oracles import (finite_difference_pressure, ideal_metal_mp, integrands_mp,
-                     lifshitz_sum_quad, matsubara_sum_direct)
+from oracles import (finite_difference_pressure, ideal_metal_mp, ideal_metal_term_mp,
+                     integrands_mp, lifshitz_sum_quad, matsubara_sum_direct)
 
 
 class VacuumModel(tc.MaterialResponse):
@@ -451,6 +451,52 @@ def test_entropy_error_above_its_share_refines_to_the_last_level(monkeypatch):
     assert estimate.value == -CONSTANTS.k_B / (8.0 * np.pi * z**2) * sums[3][1, 0]
     assert estimate.value != level_one.value
     assert not estimate.converged
+
+
+class TestBandRules:
+    def test_bands_follow_the_graded_edges(self, monkeypatch):
+        rule = engine._rule(1)
+        assert [nodes.size for nodes, _ in rule.bands] == [150, 135, 120, 105, 90]
+        assert list(rule.band_floors) == [0.0, 1 / 64, 1 / 16, 1 / 4, 1.0]
+        # a ladder without graded edges has band 0 alone
+        monkeypatch.setattr(engine, "_LK_EDGES", (0.0, 20.0, 40.0))
+        assert len(engine._rule.__wrapped__(1).bands) == 1
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_each_band_matches_the_closed_form_at_its_lowest_term(self, ideal_metal, level):
+        # the lowest y_l a band serves is the edge e of its first panel [0, e];
+        # band 0 serves every y_l, and its first panel ends at _LK_EDGES[1]
+        rule = engine._rule(level)
+        lowest = (engine._LK_EDGES[1],) + tuple(rule.band_floors[1:])
+        for band, y_l in zip(rule.bands, lowest):
+            (row,) = engine._positive_terms(1e-6, 1.0, ideal_metal, np.array([1.0]), y_l, band,
+                                            False)
+            exact = float(ideal_metal_term_mp(y_l, width=engine._LK_EDGES[-1]))
+            assert row[0, 0] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("tag", _TAGS)
+def test_banded_entropy_matches_the_full_rule(tag, monkeypatch):
+    # the entropy pass with band 0 for every term is the reference: the bands
+    # move S by a small share of its error and flip no convergence flag
+    banded = engine._rule
+
+    def full(level):
+        rule = banded(level)
+        return rule._replace(bands=rule.bands[:1], band_floors=rule.band_floors[:1])
+
+    for z in (5e-9, 1e-6):
+        for temperature in (1e-2, 1.0, 300.0):
+            if tag == "table" and temperature <= 10.0:
+                continue
+            for tolerance in (1e-7, 1e-10):
+                config = tc.EvaluationConfig(rel_tolerance=tolerance)
+                estimate = engine.entropy_pass(z, temperature, _model(tag), config)
+                monkeypatch.setattr(engine, "_rule", full)
+                reference = engine.entropy_pass(z, temperature, _model(tag), config)
+                monkeypatch.setattr(engine, "_rule", banded)
+                assert abs(estimate.value - reference.value) <= 0.05 * reference.error
+                assert estimate.converged == reference.converged
 
 
 @lru_cache(maxsize=None)

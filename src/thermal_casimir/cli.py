@@ -28,7 +28,7 @@ from .fileio import (
     parse_extrapolation,
     render_table,
 )
-from .geometry import GeometryCase, exact_cylinder_force, pft_force
+from .geometry import ASYMPTOTIC_LIMIT, GeometryCase, exact_cylinder_force, pft_force
 from .lifshitz import DEFAULT_CONFIG, ENTROPY_CONFIG, EvaluationConfig, free_energy
 from .materials import eps_from_table
 from .presets import DEFAULT_PRESET, MODEL_KINDS, build_model
@@ -139,8 +139,6 @@ def _gamma_map_arguments(spec):
             fraction = float(spec.split(":", 1)[1])
         except ValueError:
             raise FileFormatError(f"bad residual fraction in {spec!r}") from None
-        if not (0.0 < fraction <= 1.0):
-            raise DomainError("residual fraction must lie in (0, 1]")
         return {"gamma_map": "residual", "residual_fraction": fraction}
     if Path(spec).exists():
         return {"gamma_map": load_gamma_map(spec)}
@@ -186,7 +184,7 @@ _PFT_UNITS = {
 def cmd_pft(args):
     case = GeometryCase(f"{args.kind}-plate", args.z_um * 1e-6, args.R_um * 1e-6)
     pft_value = pft_force(case)
-    flag = "ok" if case.asymptotics_reliable else "z/R-exceeds-0.1"
+    flag = "ok" if case.asymptotics_reliable else f"z/R-exceeds-{ASYMPTOTIC_LIMIT:g}"
     notes = []
     if args.kind == "cylinder":
         exact = exact_cylinder_force(case.z, case.radius)

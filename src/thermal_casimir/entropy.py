@@ -129,14 +129,19 @@ class EntropyScan:
 
 
 def _resolve_gamma_map(model, gamma_map, residual_fraction):
-    """Attach the requested relaxation map to a Drude model."""
+    """Attach the requested relaxation map to a Drude model; DomainError for a
+    map given to any other model or a residual fraction outside (0, 1]."""
     if not isinstance(model, Drude):
+        if gamma_map is not None:
+            raise DomainError(f"model {model.tag!r} does not use a gamma map")
         return model
     params = model.parameters
     if isinstance(gamma_map, str):
         if gamma_map == "perfect-lattice":
             mapping = PowerLawGamma(params.gamma, params.reference_temperature)
         elif gamma_map == "residual":
+            if not 0.0 < residual_fraction <= 1.0:
+                raise DomainError("residual fraction must lie in (0, 1]")
             mapping = PowerLawGamma(
                 params.gamma, params.reference_temperature,
                 floor=residual_fraction * params.gamma,
@@ -159,20 +164,15 @@ def _extrapolate_to_zero(temperatures, values):
 
     Fits low-order polynomials over several cold subsets; the spread of the
     intercepts is the extrapolation uncertainty.  Data arrive on a grid
-    descending in T.
+    descending in T, of at least 5 points, so every variant has degree + 2.
     """
     t = np.asarray(temperatures, dtype=float)[::-1]
     s = np.asarray(values, dtype=float)[::-1]
     scale = max(np.max(np.abs(s)), 1e-300)
-    intercepts = []
-    for degree, count in _FIT_VARIANTS:
-        count = min(count, t.size)
-        if count < degree + 2:
-            continue
-        coeffs = np.polyfit(t[:count], s[:count] / scale, degree)
-        intercepts.append(float(coeffs[-1]) * scale)
+    intercepts = [float(np.polyfit(t[:count], s[:count] / scale, degree)[-1]) * scale
+                  for degree, count in _FIT_VARIANTS]
     primary = intercepts[0]
-    spread = max(abs(v - primary) for v in intercepts[1:]) if len(intercepts) > 1 else 0.0
+    spread = max(abs(v - primary) for v in intercepts[1:])
     uncertainty = spread + 1e-6 * scale
     return primary, uncertainty, tuple(intercepts)
 
@@ -188,8 +188,9 @@ def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=2
         Separation, m.
     gamma_map : str, callable or None
         For Drude models: "perfect-lattice" (relaxation vanishing at T = 0),
-        "residual" (floor at ``residual_fraction`` of the reference value) or
-        an explicit map T -> gamma.  Ignored for non-Drude models.
+        "residual" (floor at ``residual_fraction``, in (0, 1], of the
+        reference value) or an explicit map T -> gamma.  DomainError for a
+        map given to any other model.
     t_max, t_min, points : float, float, int
         Log-spaced descending grid, defaults 300 K down to 1 K, 25 points;
         t_min may lie in the milli-Kelvin range (e.g. 1e-3).

@@ -228,7 +228,11 @@ class DrudeTail:
         x = xi[~near]
         out[~near] = (np.arctan(w / g) / g - np.arctan(w / x) / x) / (x**2 - g**2)
         if np.any(near):
-            out[near] = (w / (w**2 + g**2) + np.arctan(w / g) / g) / (2.0 * g**2)
+            # the divided difference of arctan(w/x)/x at g, to first order in xi - g
+            x = xi[near]
+            s = w / (w**2 + g**2)
+            p = s + np.arctan(w / g) / g
+            out[near] = (p / g - (s / (w**2 + g**2) + p / g**2) * (x - g)) / (x + g)
         return self.omega_p**2 * g * out
 
 

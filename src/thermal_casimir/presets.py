@@ -71,17 +71,17 @@ def si_static_table():
     )
 
 
-#: The prescription names ``build_model`` accepts, each with the eV overrides
-#: it reads, and its default preset.
-_OVERRIDES_READ = {
-    "ideal": (),
-    "drude": ("omega_p_ev", "gamma_ev"),
-    "plasma": ("omega_p_ev",),
-    "impedance-ir": ("omega_p_ev",),
-    "impedance-skin": ("omega_p_ev", "gamma_ev"),
-    "table": (),
+#: The prescription names ``build_model`` accepts, each with the Drude
+#: parameters it reads (from the eV overrides or the preset) and its constructor.
+_PRESCRIPTIONS = {
+    "ideal": ((), IdealMetal),
+    "drude": (("omega_p", "gamma"), lambda omega_p, gamma: Drude(DrudeParameters(omega_p, gamma))),
+    "plasma": (("omega_p",), Plasma),
+    "impedance-ir": (("omega_p",), InfraredOpticsImpedance),
+    "impedance-skin": (("omega_p", "gamma"), SkinEffectImpedance),
+    "table": ((), TabulatedPermittivity),
 }
-MODEL_KINDS = tuple(_OVERRIDES_READ)
+MODEL_KINDS = tuple(_PRESCRIPTIONS)
 DEFAULT_PRESET = "Au-paper"
 
 
@@ -91,7 +91,8 @@ def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, tab
     Parameters
     ----------
     kind : str
-        One of ``MODEL_KINDS``.
+        One of ``MODEL_KINDS``; DomainError for any other name, before any
+        other check.
     preset : str
         Parameter preset for metallic prescriptions, or "Si-static" for the
         bundled table; "" names none.  DomainError for any other name, for
@@ -103,32 +104,27 @@ def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, tab
     table : OpticalTable, optional
         Explicit table for kind="table"; overrides the preset.
     """
-    for name, value in (("omega_p_ev", omega_p_ev), ("gamma_ev", gamma_ev)):
-        if value is not None and kind in _OVERRIDES_READ and name not in _OVERRIDES_READ[kind]:
-            raise DomainError(f"model {kind!r} does not use {name}")
+    if kind not in _PRESCRIPTIONS:
+        raise DomainError(f"unknown model kind {kind!r}")
+    reads, construct = _PRESCRIPTIONS[kind]
+    overrides = {"omega_p": omega_p_ev, "gamma": gamma_ev}
+    for name, value in overrides.items():
+        if value is not None and name not in reads:
+            raise DomainError(f"model {kind!r} does not use {name}_ev")
     if preset and preset.lower() not in (*METALLIC_PRESETS, *TABLE_PRESETS):
         known = ", ".join([p.name for p in METALLIC_PRESETS.values()] + ["Si-static"])
         raise DomainError(f"unknown preset {preset!r} (known: {known})")
     if kind == "ideal":
-        return IdealMetal()
+        return construct()
     if kind == "table":
         if table is None:
             if preset.lower() != "si-static":
                 raise DomainError("tabulated models need an optical table or the Si-static preset")
             table = si_static_table()
-        return TabulatedPermittivity(table)
+        return construct(table)
 
     if preset.lower() in TABLE_PRESETS:
         raise DomainError(f"preset {preset!r} provides a table, not Drude parameters")
     metal = get_metallic_preset(preset)
-    omega_p = ev_to_angular_frequency(omega_p_ev) if omega_p_ev is not None else metal.omega_p
-    gamma = ev_to_angular_frequency(gamma_ev) if gamma_ev is not None else metal.gamma
-    if kind == "drude":
-        return Drude(DrudeParameters(omega_p, gamma))
-    if kind == "plasma":
-        return Plasma(omega_p)
-    if kind == "impedance-ir":
-        return InfraredOpticsImpedance(omega_p)
-    if kind == "impedance-skin":
-        return SkinEffectImpedance(omega_p, gamma)
-    raise DomainError(f"unknown model kind {kind!r}")
+    return construct(*(getattr(metal, name) if overrides[name] is None
+                       else ev_to_angular_frequency(overrides[name]) for name in reads))

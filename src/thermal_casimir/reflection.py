@@ -22,6 +22,18 @@ class ReflectionPair(NamedTuple):
     r_te: float
 
 
+def _checked_point(caller, xi, k_perp):
+    """xi and q = sqrt(k_perp^2 + xi^2/c^2) as arrays, after ``caller``'s
+    check of finite xi > 0 and finite k_perp >= 0."""
+    xi = np.asarray(xi, dtype=float)
+    k_perp = np.asarray(k_perp, dtype=float)
+    if not np.all((0.0 < xi) & (xi < np.inf)):
+        raise DomainError(f"{caller} requires finite xi > 0")
+    if not np.all((0.0 <= k_perp) & (k_perp < np.inf)):
+        raise DomainError(f"{caller} requires finite k_perp >= 0")
+    return xi, np.sqrt(k_perp**2 + (xi / CONSTANTS.c) ** 2)
+
+
 def fresnel_reflection(xi, k_perp, eps):
     """Fresnel reflection amplitudes of a half-space with permittivity ``eps``.
 
@@ -40,16 +52,11 @@ def fresnel_reflection(xi, k_perp, eps):
         r_tm = (eps*q - k)/(eps*q + k), r_te = (k - q)/(k + q) with
         q = sqrt(k_perp^2 + xi^2/c^2) and k = sqrt(k_perp^2 + eps*xi^2/c^2).
     """
-    xi = np.asarray(xi, dtype=float)
-    k_perp = np.asarray(k_perp, dtype=float)
+    xi, q = _checked_point("fresnel_reflection", xi, k_perp)
     eps = np.asarray(eps, dtype=float)
-    if not np.all((0.0 < xi) & (xi < np.inf)):
-        raise DomainError("fresnel_reflection requires finite xi > 0")
-    if not np.all((0.0 <= k_perp) & (k_perp < np.inf)):
-        raise DomainError("fresnel_reflection requires finite k_perp >= 0")
     if not np.all((1.0 <= eps) & (eps < np.inf)):
         raise DomainError("fresnel_reflection requires finite eps >= 1")
-    return fresnel_q(xi, np.sqrt(k_perp**2 + (xi / CONSTANTS.c) ** 2), eps)
+    return fresnel_q(xi, q, eps)
 
 
 def fresnel_q(xi, q, eps):
@@ -70,14 +77,7 @@ def impedance_reflection(xi, k_perp, impedance):
     Valid for small impedance; ``impedance`` outside (0, 1] is rejected
     because the boundary condition itself breaks down there.
     """
-    xi = np.asarray(xi, dtype=float)
-    k_perp = np.asarray(k_perp, dtype=float)
-    impedance = np.asarray(impedance, dtype=float)
-    if not np.all((0.0 < xi) & (xi < np.inf)):
-        raise DomainError("impedance_reflection requires finite xi > 0")
-    if not np.all((0.0 <= k_perp) & (k_perp < np.inf)):
-        raise DomainError("impedance_reflection requires finite k_perp >= 0")
-    return impedance_q(xi, np.sqrt(k_perp**2 + (xi / CONSTANTS.c) ** 2), impedance)
+    return impedance_q(*_checked_point("impedance_reflection", xi, k_perp), impedance)
 
 
 def impedance_q(xi, q, impedance):

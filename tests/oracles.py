@@ -310,3 +310,22 @@ def ideal_metal_term_mp(a, width=40.0, digits=30):
             return -2 * (start * mp.polylog(2, mp.exp(-start)) + mp.polylog(3, mp.exp(-start)))
 
         return tail(a) - tail(mp.mpf(a) + mp.mpf(width))
+
+
+# ---------------------------------------------------------------------------
+# Below-grid dispersion integral
+# ---------------------------------------------------------------------------
+
+
+def drude_tail_integral_mp(omega_p, gamma, xi, omega_min, digits=30):
+    """Below-grid dispersion integral of a Drude absorption profile, as a float:
+    Int_0^omega_min omega_p^2 gamma / ((w^2 + gamma^2)(w^2 + xi^2)) dw by
+    tanh-sinh quadrature, split at gamma and xi where they lie inside."""
+    with mp.workdps(digits):
+        omega_p, gamma, xi = mp.mpf(omega_p), mp.mpf(gamma), mp.mpf(xi)
+
+        def integrand(w):
+            return omega_p**2 * gamma / ((w * w + gamma * gamma) * (w * w + xi * xi))
+
+        points = sorted({mp.mpf(0), mp.mpf(omega_min), *(v for v in (gamma, xi) if v < omega_min)})
+        return float(mp.quad(integrand, points))

@@ -367,6 +367,17 @@ class TestEntropyCommand:
         assert parse_csv(texts["residual"])[1] != rows
         assert "# gamma_map: residual:0.3" in texts["residual:0.3"].splitlines()
 
+    @pytest.mark.parametrize("model", [("--model", "plasma", "--gamma-map", "residual:0.3"),
+                                       ("--model", "table", "--preset", "Si-static",
+                                        "--gamma-map", "perfect-lattice")])
+    def test_gamma_map_on_a_non_drude_model_exits_two(self, tmp_path, capsys, model):
+        # the run would record in its header a map it never applied
+        out = tmp_path / "out.csv"
+        out.write_text("previous result\n")
+        assert main(["entropy", "--z-um", "1", *model, "--out", str(out)]) == 2
+        assert out.read_text() == "previous result\n"
+        assert "does not use a gamma map" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["residual:abc", "residual:1.5"])
     def test_bad_residual_fraction_exits_two(self, tmp_path, spec):
         out = tmp_path / "out.csv"

@@ -282,6 +282,18 @@ class TestNernstVerdict:
         with pytest.raises(DomainError, match="callable"):
             tc.nernst_verdict(drude_au, 1e-6, 3.0)
 
+    @pytest.mark.parametrize("gamma_map", ["perfect-lattice", "no-such-map",
+                                           tc.PowerLawGamma(1e13, 300.0)])
+    def test_gamma_map_on_a_non_drude_model_is_rejected(self, plasma_au, gamma_map):
+        with pytest.raises(DomainError, match="'plasma' does not use a gamma map"):
+            tc.nernst_verdict(plasma_au, 1e-6, gamma_map)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, float("nan")])
+    def test_residual_fraction_outside_unit_interval_is_rejected(self, drude_au, fraction):
+        # 0 would be the perfect-lattice map, and above 1 the floor exceeds gamma itself
+        with pytest.raises(DomainError, match=r"residual fraction must lie in \(0, 1\]"):
+            tc.nernst_verdict(drude_au, 1e-6, "residual", residual_fraction=fraction)
+
     def test_explicit_map_is_accepted(self, au_parameters):
         mapping = tc.PowerLawGamma(au_parameters.gamma, 300.0, floor=0.5 * au_parameters.gamma)
         scan = tc.nernst_verdict(tc.Drude(au_parameters), 1e-6, mapping,

@@ -7,6 +7,8 @@ from thermal_casimir.errors import DomainError, ExtrapolationError
 from thermal_casimir.materials import drude_absorption
 from thermal_casimir.presets import MODEL_KINDS, build_model, get_metallic_preset, si_static_table
 
+from oracles import drude_tail_integral_mp
+
 
 class TestMatsubaraFrequency:
     def test_zero_index_is_zero(self):
@@ -152,6 +154,19 @@ class TestGammaMaps:
             build(value)
 
 
+@pytest.mark.parametrize("omega_min", [1e13, 2e14])
+@pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-7, -1e-7, -5e-7, 9.9e-7, -9.9e-7,
+                                    1.01e-6, 2e-6])
+def test_drude_tail_integral_near_gamma(omega_min, offset):
+    # within 1e-6 gamma of xi = gamma the closed form cancels, so it is taken
+    # as a divided difference; the window's edges and beyond check the switch
+    omega_p, gamma = 1.37e16, 5.3e13
+    xi = gamma * (1.0 + offset)
+    value = tc.DrudeTail(omega_p, gamma).below_grid_integral(np.array([xi]), omega_min)[0]
+    exact = drude_tail_integral_mp(omega_p, gamma, xi, omega_min)
+    assert abs(value - exact) <= 1e-9 * abs(exact)
+
+
 class TestOpticalTable:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -232,6 +247,15 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
             get_metallic_preset("unobtainium")
+
+    def test_table_preset_for_a_metallic_kind(self):
+        with pytest.raises(DomainError, match="provides a table"):
+            build_model("plasma", preset="Si-static")
+
+    def test_unknown_kind(self):
+        # reported before the override it would not use
+        with pytest.raises(DomainError, match="unknown model kind 'gold'"):
+            build_model("gold", gamma_ev=0.1)
 
     def test_si_static_limit(self):
         table = si_static_table()

@@ -35,6 +35,10 @@ CLEARANCE_THRESHOLD = 1.0
 _ZERO_T_REL_TOL = 1e-8
 _ZERO_T_LEVELS = 7
 
+#: Floor of the "residual" gamma map as a fraction of the reference
+#: relaxation, when no ``residual_fraction`` is given.
+RESIDUAL_FRACTION = 0.1
+
 #: Cold-end fit variants: (polynomial degree, number of coldest grid points).
 _FIT_VARIANTS = ((2, 12), (2, 9), (2, 6), (1, 5))
 
@@ -130,7 +134,10 @@ class EntropyScan:
 
 def _resolve_gamma_map(model, gamma_map, residual_fraction):
     """Attach the requested relaxation map to a Drude model; DomainError for a
-    map given to any other model or a residual fraction outside (0, 1]."""
+    map given to any other model, a residual fraction given with any map but
+    "residual", or one outside (0, 1]."""
+    if residual_fraction is not None and gamma_map != "residual":
+        raise DomainError("a residual fraction goes with the 'residual' gamma map only")
     if not isinstance(model, Drude):
         if gamma_map is not None:
             raise DomainError(f"model {model.tag!r} does not use a gamma map")
@@ -138,14 +145,12 @@ def _resolve_gamma_map(model, gamma_map, residual_fraction):
     params = model.parameters
     if isinstance(gamma_map, str):
         if gamma_map == "perfect-lattice":
-            mapping = PowerLawGamma(params.gamma, params.reference_temperature)
+            mapping = PowerLawGamma(params.gamma)
         elif gamma_map == "residual":
-            if not 0.0 < residual_fraction <= 1.0:
+            fraction = RESIDUAL_FRACTION if residual_fraction is None else residual_fraction
+            if not 0.0 < fraction <= 1.0:
                 raise DomainError("residual fraction must lie in (0, 1]")
-            mapping = PowerLawGamma(
-                params.gamma, params.reference_temperature,
-                floor=residual_fraction * params.gamma,
-            )
+            mapping = PowerLawGamma(params.gamma, floor=fraction * params.gamma)
         else:
             raise DomainError(f"unknown gamma map {gamma_map!r}")
     elif gamma_map is None:
@@ -178,7 +183,7 @@ def _extrapolate_to_zero(temperatures, values):
 
 
 def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=25,
-                   residual_fraction=0.1, config=ENTROPY_CONFIG):
+                   residual_fraction=None, config=ENTROPY_CONFIG):
     """Scan S(z, T) toward T = 0 and classify the prescription.
 
     Parameters
@@ -191,6 +196,9 @@ def nernst_verdict(model, z, gamma_map=None, *, t_max=300.0, t_min=1.0, points=2
         "residual" (floor at ``residual_fraction``, in (0, 1], of the
         reference value) or an explicit map T -> gamma.  DomainError for a
         map given to any other model.
+    residual_fraction : float, optional
+        Only with "residual" (DomainError otherwise); ``RESIDUAL_FRACTION``
+        (0.1) when omitted.
     t_max, t_min, points : float, float, int
         Log-spaced descending grid, defaults 300 K down to 1 K, 25 points;
         t_min may lie in the milli-Kelvin range (e.g. 1e-3).

@@ -32,6 +32,10 @@ from .reflection import fresnel_reflection, impedance_reflection  # noqa: F401
 _DISPERSION_REL_TOL = 1e-6
 _DISPERSION_LEVELS = 5
 
+#: Temperature (K) at which a Drude relaxation parameter is quoted and from
+#: which a power-law gamma(T) map scales by default.
+REFERENCE_TEMPERATURE = 300.0
+
 
 def matsubara_frequency(index, temperature):
     """Matsubara angular frequency xi_l = 2 pi k_B T l / hbar.
@@ -74,7 +78,7 @@ class PowerLawGamma:
     """
 
     gamma_ref: float
-    reference_temperature: float = 300.0
+    reference_temperature: float = REFERENCE_TEMPERATURE
     exponent: float = 5.0
     floor: float = 0.0
 
@@ -133,7 +137,7 @@ class DrudeParameters:
     omega_p : float
         Plasma frequency, rad/s.
     gamma : float
-        Relaxation parameter at ``reference_temperature``, rad/s.
+        Relaxation parameter at ``REFERENCE_TEMPERATURE``, rad/s.
     gamma_of_T : callable, optional
         Map T -> gamma(T) in rad/s.  When absent, gamma is held at its
         reference value for every temperature.
@@ -142,7 +146,6 @@ class DrudeParameters:
     omega_p: float
     gamma: float
     gamma_of_T: Optional[Callable[[float], float]] = None
-    reference_temperature: float = 300.0
 
     def __post_init__(self):
         if not 0.0 < self.omega_p < math.inf:
@@ -155,7 +158,7 @@ class DrudeParameters:
     def relaxation(self, temperature=None):
         """gamma at the given temperature (reference value when no map is set)."""
         if temperature is None:
-            temperature = self.reference_temperature
+            temperature = REFERENCE_TEMPERATURE
         if self.gamma_of_T is None:
             return self.gamma
         value = self.gamma_of_T(temperature)

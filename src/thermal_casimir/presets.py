@@ -50,7 +50,8 @@ METALLIC_PRESETS = {
     "au-resistivity": MetallicPreset("Au-resistivity", 8.9, 0.0357),
 }
 
-TABLE_PRESETS = ("si-static",)
+#: The one bundled table preset, matched case-insensitively like the metallic ones.
+TABLE_PRESET = "Si-static"
 
 
 def get_metallic_preset(name):
@@ -111,19 +112,21 @@ def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, tab
     for name, value in overrides.items():
         if value is not None and name not in reads:
             raise DomainError(f"model {kind!r} does not use {name}_ev")
-    if preset and preset.lower() not in (*METALLIC_PRESETS, *TABLE_PRESETS):
-        known = ", ".join([p.name for p in METALLIC_PRESETS.values()] + ["Si-static"])
+    table_preset = bool(preset) and preset.lower() == TABLE_PRESET.lower()
+    if preset and not table_preset and preset.lower() not in METALLIC_PRESETS:
+        known = ", ".join([p.name for p in METALLIC_PRESETS.values()] + [TABLE_PRESET])
         raise DomainError(f"unknown preset {preset!r} (known: {known})")
     if kind == "ideal":
         return construct()
     if kind == "table":
         if table is None:
-            if preset.lower() != "si-static":
-                raise DomainError("tabulated models need an optical table or the Si-static preset")
+            if not table_preset:
+                raise DomainError(
+                    f"tabulated models need an optical table or the {TABLE_PRESET} preset")
             table = si_static_table()
         return construct(table)
 
-    if preset.lower() in TABLE_PRESETS:
+    if table_preset:
         raise DomainError(f"preset {preset!r} provides a table, not Drude parameters")
     metal = get_metallic_preset(preset)
     return construct(*(getattr(metal, name) if overrides[name] is None

@@ -2,16 +2,18 @@
 
 The hypothetical interaction adds alpha * exp(-r/lambda) to the Newtonian
 point potential.  Pairwise volume integration over the test bodies is linear
-in the mass densities, so layered bodies reduce to superpositions of
-homogeneous ones and every supported geometry has a closed form.  Only the
-alpha term is integrated: the Newtonian background is smooth in separation
-and subtracted in the experiments that produce residual bounds.
+in the mass densities, so every supported geometry has a closed form: each
+body is a sum of homogeneous pieces, one per density step (half-spaces for
+plates and slabs, concentric solid spheres for a coated sphere), and the
+interaction is e^{-z/lambda} times one superposition weight per body.  Only
+the alpha term is integrated: the Newtonian background is smooth in
+separation and subtracted in the experiments that produce residual bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import math
 
@@ -97,9 +99,6 @@ class Sphere:
         object.__setattr__(self, "coatings", coatings)
 
 
-PlateLike = Union[SemispacePlate, FiniteSlab]
-
-
 def yukawa_potential(r, m1, m2, params):
     """Point-mass potential -G m1 m2 (1 + alpha e^{-r/lambda}) / r in J."""
     r = np.asarray(r, dtype=float)
@@ -107,51 +106,6 @@ def yukawa_potential(r, m1, m2, params):
         raise DomainError("distance must be positive and finite")
     value = -CONSTANTS.G * m1 * m2 * (1.0 + params.alpha * np.exp(-r / params.lam)) / r
     return value if value.ndim else float(value)
-
-
-def _plate_profile_factor(body, lam):
-    """Exponentially weighted density of a plate-like body.
-
-    Phi(lambda) = (1/lambda) Int_0^inf rho(t) e^{-t/lambda} dt over the depth
-    profile; equals the bulk density for a homogeneous half-space.
-    """
-    if isinstance(body, SemispacePlate):
-        layers = list(body.coatings)
-        substrate = body.density
-    elif isinstance(body, FiniteSlab):
-        layers = list(body.coatings) + [Layer(body.thickness, body.density)]
-        substrate = 0.0
-    else:
-        raise DomainError("profile factor is defined for plate-like bodies only")
-    depth = 0.0
-    phi = 0.0
-    attenuation = 1.0
-    for layer in layers:
-        depth += layer.thickness
-        next_attenuation = np.exp(-depth / lam)
-        phi += layer.density * (attenuation - next_attenuation)
-        attenuation = next_attenuation
-    return phi + substrate * attenuation
-
-
-def _sphere_components(body):
-    """Nested-sphere superposition of a coated sphere.
-
-    Returns (radius, density step, extra gap) triples whose sum reproduces
-    the layered density profile exactly.
-    """
-    radii = [body.radius]
-    densities = []
-    for layer in body.coatings:
-        densities.append(layer.density)
-        radii.append(radii[-1] - layer.thickness)
-    densities.append(body.density)
-    components = []
-    previous_density = 0.0
-    for radius, density in zip(radii, densities):
-        components.append((radius, density - previous_density, body.radius - radius))
-        previous_density = density
-    return components
 
 
 def _sphere_bracket(radius, lam):
@@ -175,22 +129,51 @@ def _sphere_bracket(radius, lam):
     return lam * total
 
 
+def _weight(body, lam):
+    """Superposition weight W(lambda) = sum of drho e^{-offset/lambda} shape.
+
+    Each density step drho at depth ``offset`` below the surface starts a
+    homogeneous piece: a half-space (shape 1) in a plate or slab, a solid
+    sphere of radius R - offset (shape ``_sphere_bracket``) in a sphere.  A
+    slab ends with a step back to zero density.
+    """
+    steps, offset, density = [], 0.0, 0.0
+    for layer in body.coatings:
+        steps.append((offset, layer.density - density))
+        offset, density = offset + layer.thickness, layer.density
+    steps.append((offset, body.density - density))
+    if isinstance(body, FiniteSlab):
+        steps.append((offset + body.thickness, -body.density))
+    total = 0.0
+    for offset, step in steps:
+        shape = _sphere_bracket(body.radius - offset, lam) if isinstance(body, Sphere) else 1.0
+        total += step * np.exp(-offset / lam) * shape
+    return total
+
+
+def _plate_weight(body, lam):
+    """``_weight`` of a body that must be plate-like (half-space or slab)."""
+    if not isinstance(body, (SemispacePlate, FiniteSlab)):
+        raise DomainError("expected a plate-like body (semispace or slab)")
+    return _weight(body, lam)
+
+
 def yukawa_energy_plates(z, body_a, body_b, params):
     """Yukawa interaction energy per unit area of two plate-like bodies, J/m^2.
 
-    E(z) = -2 pi G alpha lambda^3 e^{-z/lambda} Phi_a Phi_b.
+    E(z) = -2 pi G alpha lambda^3 e^{-z/lambda} W_a W_b.
     """
     if not 0.0 < z < math.inf:
         raise DomainError("separation must be positive and finite")
     lam = params.lam
-    phi = _plate_profile_factor(body_a, lam) * _plate_profile_factor(body_b, lam)
-    return -2.0 * np.pi * CONSTANTS.G * params.alpha * lam**3 * np.exp(-z / lam) * phi
+    weights = _plate_weight(body_a, lam) * _plate_weight(body_b, lam)
+    return -2.0 * np.pi * CONSTANTS.G * params.alpha * lam**3 * np.exp(-z / lam) * weights
 
 
 def yukawa_pressure_plates(z, body_a, body_b, params):
     """Yukawa pressure between two plate-like bodies, Pa; negative attracts.
 
-    P(z) = -dE/dz = -2 pi G alpha lambda^2 e^{-z/lambda} Phi_a Phi_b.
+    P(z) = -dE/dz = -2 pi G alpha lambda^2 e^{-z/lambda} W_a W_b.
     """
     return yukawa_energy_plates(z, body_a, body_b, params) / params.lam
 
@@ -198,19 +181,15 @@ def yukawa_pressure_plates(z, body_a, body_b, params):
 def yukawa_force_sphere_plate(z, sphere, plate, params):
     """Yukawa force between a sphere and a plate-like body, N.
 
-    Pairwise integration of the alpha term over a (possibly coated) sphere
-    against the plate's depth profile, differentiated in the gap width.
+    F(z) = -4 pi^2 G alpha lambda^3 e^{-z/lambda} W_sphere W_plate.
     """
     if not 0.0 < z < math.inf:
         raise DomainError("separation must be positive and finite")
     if not isinstance(sphere, Sphere):
         raise DomainError("first body must be a sphere")
     lam = params.lam
-    phi_plate = _plate_profile_factor(plate, lam)
-    total = 0.0
-    for radius, delta_rho, extra_gap in _sphere_components(sphere):
-        total += delta_rho * np.exp(-(z + extra_gap) / lam) * _sphere_bracket(radius, lam)
-    return -4.0 * np.pi**2 * CONSTANTS.G * params.alpha * lam**3 * phi_plate * total
+    weights = _weight(sphere, lam) * _plate_weight(plate, lam)
+    return -4.0 * np.pi**2 * CONSTANTS.G * params.alpha * lam**3 * np.exp(-z / lam) * weights
 
 
 def sphere_plate_effective_pressure(z, sphere, plate, params):

@@ -1,22 +1,25 @@
-"""CLI battery: a fingerprint of what 22 ``thermal-casimir`` commands print.
+"""CLI battery: a fingerprint of what 23 ``thermal-casimir`` commands print.
 
 Run as ``python tests/cli_battery.py [TREE]``.  Each command runs as
 ``python -m thermal_casimir.cli`` in a fresh interpreter with
 ``PYTHONPATH=TREE/src`` (TREE defaults to the checkout holding this file),
 in a scratch directory holding the benchmark's cli-oneshot inputs for seed
-5.  One line per command gives its exit code, a short hash of its stdout and
-stderr, and its arguments; the last line gives the number of commands and
-the sha256 of ``repr`` of the (argv, exit code, stdout, stderr) list, so two
-source trees can be compared for byte-identical CLI output with one command
-each.  pytest does not collect this file.
+5 and ``plates.json``, a coated slab facing a coated half-space.  One line
+per command gives its exit code, a short hash of its stdout and stderr, and
+its arguments; the last line gives the number of commands and the sha256 of
+``repr`` of the (argv, exit code, stdout, stderr) list, so two source trees
+can be compared for byte-identical CLI output with one command each.  pytest
+does not collect this file.
 
-The commands are the six of ``perfbench/inputs.CLI_COMMANDS``; ``entropy``
+The commands are the six of ``perfbench/inputs.CLI_COMMANDS`` (its
+``yukawa`` is sphere-plate); ``yukawa`` on ``plates.json``; ``entropy``
 and ``pft --kind sphere`` as JSON; a cylinder beyond the z/R limit;
 ``optics-convert`` on the Si-static preset; ``pressure`` on every model kind;
 five usage errors (exit 2) and one tolerance out of reach (exit 3).
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,8 +34,15 @@ import inputs  # noqa: E402
 from thermal_casimir.presets import MODEL_KINDS  # noqa: E402
 
 PRESSURE = ("pressure", "--z-min-um", "1", "--z-max-um", "1", "--points", "1")
+GOLD = {"thickness_m": 1e-7, "density_kg_m3": 19300.0}
+PLATES = {
+    "body_a": {"shape": "slab", "thickness_m": 2e-6, "density_kg_m3": 2500.0, "coatings": [GOLD]},
+    "body_b": {"shape": "semispace", "density_kg_m3": 2330.0, "coatings": [GOLD]},
+}
 COMMANDS = [
     *inputs.CLI_COMMANDS.values(),
+    ["yukawa", "--bound-file", "bound.csv", "--geometry-file", "plates.json",
+     "--lambda-min-um", "0.1", "--lambda-max-um", "5", "--points", "5"],
     [*inputs.CLI_COMMANDS["entropy"], "--format", "json"],
     ["pft", "--kind", "sphere", "--z-um", "0.1", "--R-um", "100", "--format", "json"],
     ["pft", "--kind", "cylinder", "--z-um", "20", "--R-um", "100"],
@@ -56,6 +66,7 @@ def run_all(tree):
     results = []
     with tempfile.TemporaryDirectory() as work:
         inputs.generate("cli-oneshot", 5, work)
+        (Path(work) / "plates.json").write_text(json.dumps(PLATES))
         for argv in COMMANDS:
             done = subprocess.run([sys.executable, "-m", "thermal_casimir.cli", *argv],
                                   env=env, cwd=work, capture_output=True, text=True)

@@ -220,7 +220,7 @@ class TestEntropyFiniteDifferences:
         assert estimate.converged == (temperature >= 1.0)
 
     def test_concurrent_evaluation_is_bitwise_serial(self, drude_au, plasma_au, ideal_metal):
-        perfect_lattice = entropy_module._resolve_gamma_map(drude_au, "perfect-lattice", 0.1)
+        perfect_lattice = entropy_module._resolve_gamma_map(drude_au, "perfect-lattice", None)
         jobs = [(z, temperature, model)
                 for model in (perfect_lattice, plasma_au, ideal_metal)
                 for z, temperature in ((0.5e-6, 300.0), (1e-6, 3.0), (2e-6, 0.1))]
@@ -293,6 +293,14 @@ class TestNernstVerdict:
         # 0 would be the perfect-lattice map, and above 1 the floor exceeds gamma itself
         with pytest.raises(DomainError, match=r"residual fraction must lie in \(0, 1\]"):
             tc.nernst_verdict(drude_au, 1e-6, "residual", residual_fraction=fraction)
+
+    @pytest.mark.parametrize("gamma_map", ["perfect-lattice", tc.PowerLawGamma(1e13), None])
+    @pytest.mark.parametrize("fraction", [7.0, 0.3])
+    def test_residual_fraction_with_another_map_is_rejected(self, drude_au, gamma_map, fraction):
+        # before, the fraction was silently ignored unless the map was "residual"
+        with pytest.raises(DomainError, match="residual fraction goes with the 'residual'"):
+            tc.nernst_verdict(drude_au, 1e-6, gamma_map, residual_fraction=fraction,
+                              points=5, t_min=100.0)
 
     def test_explicit_map_is_accepted(self, au_parameters):
         mapping = tc.PowerLawGamma(au_parameters.gamma, 300.0, floor=0.5 * au_parameters.gamma)

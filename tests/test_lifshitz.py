@@ -560,7 +560,7 @@ def _gamma_map_model(name):
     """Au Drude model with the relaxation map of a Nernst scan, "perfect-lattice" or "residual"."""
     params = _model("drude").parameters
     floor = 0.1 * params.gamma if name == "residual" else 0.0
-    mapping = tc.PowerLawGamma(params.gamma, params.reference_temperature, floor=floor)
+    mapping = tc.PowerLawGamma(params.gamma, floor=floor)
     return tc.Drude(dataclasses.replace(params, gamma_of_T=mapping))
 
 

@@ -4,7 +4,7 @@ import pytest
 import thermal_casimir as tc
 from thermal_casimir.constants import CONSTANTS, ev_to_angular_frequency
 from thermal_casimir.errors import DomainError, ExtrapolationError
-from thermal_casimir.materials import drude_absorption
+from thermal_casimir.materials import REFERENCE_TEMPERATURE, drude_absorption
 from thermal_casimir.presets import MODEL_KINDS, build_model, get_metallic_preset, si_static_table
 
 from oracles import drude_tail_integral_mp
@@ -116,6 +116,13 @@ class TestGammaMaps:
     def test_gamma_map_must_be_callable(self, mapping):
         with pytest.raises(DomainError, match="callable"):
             tc.DrudeParameters(1e16, 1e13, mapping)
+
+    def test_reference_temperature_is_one_constant(self):
+        # before, DrudeParameters took an unchecked reference_temperature (nan ran)
+        with pytest.raises(TypeError):
+            tc.DrudeParameters(1e16, 1e13, reference_temperature=float("nan"))
+        assert tc.DrudeParameters(1e16, 1e13, lambda t: t).relaxation() == REFERENCE_TEMPERATURE
+        assert tc.PowerLawGamma(1e13).reference_temperature == REFERENCE_TEMPERATURE == 300.0
 
     @pytest.mark.parametrize("build", [
         lambda v: tc.Plasma(v),
@@ -251,6 +258,13 @@ class TestPresets:
     def test_table_preset_for_a_metallic_kind(self):
         with pytest.raises(DomainError, match="provides a table"):
             build_model("plasma", preset="Si-static")
+
+    def test_table_preset_messages_and_case(self):
+        with pytest.raises(DomainError, match=r"\(known: Au-paper, Au-resistivity, Si-static\)$"):
+            build_model("drude", preset="Nonexistent")
+        with pytest.raises(DomainError, match="need an optical table or the Si-static preset$"):
+            build_model("table", preset="Au-paper")
+        assert isinstance(build_model("table", preset="SI-STATIC"), tc.TabulatedPermittivity)
 
     def test_unknown_kind(self):
         # reported before the override it would not use

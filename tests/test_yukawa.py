@@ -164,6 +164,27 @@ class TestSpherePlate:
                                            1e8, 0.8e-6)
         assert value == pytest.approx(outer + inner, rel=1e-4)
 
+    def test_sphere_over_slab_against_oracle(self):
+        sphere = tc.Sphere(50e-6, GOLD)
+        slab = tc.FiniteSlab(1e-6, 2500.0)
+        params = tc.YukawaParams(1e8, 0.4e-6)
+        value = tc.yukawa_force_sphere_plate(0.8e-6, sphere, slab, params)
+        # a slab is a half-space minus the half-space one thickness further away
+        near = sphere_plate_force_numeric(0.8e-6, 50e-6, GOLD, 2500.0, 1e8, 0.4e-6)
+        far = sphere_plate_force_numeric(1.8e-6, 50e-6, GOLD, 2500.0, 1e8, 0.4e-6)
+        assert value == pytest.approx(near - far, rel=1e-4)
+
+    def test_sphere_as_plate_rejected(self):
+        sphere = tc.Sphere(50e-6, GOLD)
+        plate = tc.SemispacePlate(GOLD)
+        params = tc.YukawaParams(1.0, 1e-6)
+        with pytest.raises(DomainError):
+            tc.yukawa_force_sphere_plate(1e-6, sphere, tc.Sphere(1e-4, GOLD), params)
+        with pytest.raises(DomainError):
+            tc.yukawa_energy_plates(1e-6, tc.Sphere(1e-4, GOLD), plate, params)
+        with pytest.raises(DomainError):
+            tc.yukawa_energy_plates(1e-6, plate, tc.Sphere(1e-4, GOLD), params)
+
     def test_bracket_series_matches_direct_expression_near_switch(self):
         radius = 1e-6
         for x in (0.2, 0.49):

@@ -31,7 +31,7 @@ from .fileio import (
 from .geometry import ASYMPTOTIC_LIMIT, GeometryCase, exact_cylinder_force, pft_force
 from .lifshitz import DEFAULT_CONFIG, ENTROPY_CONFIG, EvaluationConfig, free_energy
 from .materials import eps_from_table
-from .presets import DEFAULT_PRESET, MODEL_KINDS, build_model
+from .presets import DEFAULT_PRESET, MODEL_KINDS, PRESET_NAMES, build_model
 from .yukawa import exclusion_bound
 
 
@@ -39,7 +39,8 @@ def _add_model_arguments(parser):
     parser.add_argument("--model", choices=MODEL_KINDS, default="drude",
                         help="material prescription (default: drude)")
     parser.add_argument("--preset", default=DEFAULT_PRESET,
-                        help="parameter preset: Au-paper, Au-resistivity or Si-static")
+                        help=f"parameter preset: {', '.join(PRESET_NAMES[:-1])} "
+                             f"or {PRESET_NAMES[-1]}")
     parser.add_argument("--table-file", default=None,
                         help="optical table file (omega_eV, Im_eps) for --model table")
     parser.add_argument("--extrapolation", default=None,

@@ -65,14 +65,25 @@ fixed discretization, with its own error figure, in which the pressure
 majorant bounds the difference terms past the cut (a proof for the ideal
 metal only).
 
-Everything here is a pure function of immutable inputs, reduced in a fixed
-order, so results are bit-reproducible for a fixed configuration.
+The entropy pass's F-only kernel writes every node-sized array (y, q = y/(2z),
+e^-y and the two amplitudes, which become the F integrand in place) into a
+workspace of five _CHUNK_NODES-value buffers per thread, reused by every block
+(:func:`_workspace`).  Allocating them per block made the allocator return the
+freed heap to the system and fault it back in on the next block.  The kernel
+runs the operations of the F+P path in its order, so S is bitwise unchanged;
+F and P still allocate per block.
+
+Apart from that per-thread scratch, everything here is a pure function of
+immutable inputs, reduced in a fixed order, so results are bit-reproducible
+for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -236,6 +247,48 @@ def _accumulate(pair, y, decay, want_pressure):
     return f_val, p_val if want_pressure else None
 
 
+def _log_sum(pair, decay, out):
+    """The free-energy values of :func:`_accumulate`, computed in place in ``out``.
+
+    ``out`` is a pair of float arrays shaped like ``decay``; each may hold the
+    amplitude it is paired with.  The operations are those of
+    :func:`_accumulate`, in its order, so the values are bitwise the same.
+    Returns ``out[0]``.
+    """
+    f_val = 0.0
+    for r, buf in zip(pair, out):
+        x = np.multiply(np.square(r, out=buf), decay, out=buf)
+        f_val = np.add(f_val, np.log1p(np.negative(x, out=x), out=x), out=out[0])
+    return f_val
+
+
+# Buffers of the F-only kernel, one set per thread (see _workspace).
+_LOCAL = threading.local()
+
+
+@contextmanager
+def _workspace(shape):
+    """Five float arrays of ``shape``, stacked, for one F-only kernel call.
+
+    They are views of this thread's five buffers of _CHUNK_NODES values, made
+    on first use and reused by every later block.  The buffers leave the
+    thread while in use, so a pass nested in a kernel call (a gamma map that
+    runs one) makes its own; a block larger than they are gets fresh arrays.
+    """
+    buffers = getattr(_LOCAL, "buffers", None)
+    if buffers is None:
+        buffers = np.empty((5, _CHUNK_NODES))
+    _LOCAL.buffers = None
+    size = shape[0] * shape[1]
+    try:
+        if size > buffers.shape[1]:
+            yield np.empty((5, *shape))
+        else:
+            yield buffers[:, :size].reshape(5, *shape)
+    finally:
+        _LOCAL.buffers = buffers
+
+
 def _zero_term(z, l0_model, rule, want_pressure):
     """Weighted (Kronrod, Gauss) l = 0 term (carries the 1/2 Matsubara weight)."""
     y = rule.l0_nodes
@@ -250,18 +303,26 @@ def _positive_terms(z, temperature, model, indices, y_step, band, want_pressure)
     """(Kronrod, Gauss) rows of F term integrals for l >= 1, then of P ones with ``want_pressure``.
 
     ``band`` is the (nodes, weights) pair of one band of the rule; l need not
-    be an integer.
+    be an integer.  Without ``want_pressure`` (the entropy pass) every
+    node-sized value is written into the thread's :func:`_workspace`, by the
+    operations of the F+P path in its order; the rows are fresh arrays.
     """
     nodes, weights = band
     idx = np.asarray(indices, dtype=float)
     xi = (2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar) * idx[:, None]
-    y = y_step * idx[:, None] + nodes[None, :]
-    pair = model.reflection(xi, y / (2.0 * z), temperature)
-    f_val, p_val = _accumulate(pair, y, np.exp(-y), want_pressure)
-    rows = [weights @ (y * f_val).T]
     if want_pressure:
-        rows.append(weights @ (y * y * p_val).T)
-    return rows
+        y = y_step * idx[:, None] + nodes[None, :]
+        pair = model.reflection(xi, y / (2.0 * z), temperature)
+        f_val, p_val = _accumulate(pair, y, np.exp(-y), True)
+        return [weights @ (y * f_val).T, weights @ (y * y * p_val).T]
+    with _workspace((idx.size, nodes.size)) as (y, q, decay, *amplitudes):
+        # numpy copies a broadcast ufunc operand into a buffer of the block's size;
+        # assigning it to an array does not allocate
+        y[...] = nodes
+        np.add(y_step * idx[:, None], y, out=y)
+        pair = model.reflection(xi, np.divide(y, 2.0 * z, out=q), temperature, amplitudes)
+        f_val = _log_sum(pair, np.exp(np.negative(y, out=decay), out=decay), amplitudes)
+        return [weights @ np.multiply(y, f_val, out=f_val).T]
 
 
 def _terms(z, temperature, model, indices, y_step, rule, entropy):

@@ -425,11 +425,13 @@ class MaterialResponse:
     :func:`.fresnel_q`, the Leontovich impedance Z(i*xi) for
     :func:`.impedance_q`; :func:`.perfect_q` ignores it.  ``response`` is
     the checked public form of ``_response``.  ``reflection(xi, q,
-    temperature)``, the kernel applied to ``_response``, is the only
+    temperature, out)``, the kernel applied to ``_response``, is the only
     reflection path; it takes xi > 0 and the vacuum decay constant
     q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c, the variable the Matsubara engine
-    integrates in, and does not validate them.  Instances are immutable and
-    safe to share across threads.
+    integrates in, and does not validate them.  An ``out`` pair of arrays
+    receives the amplitudes the kernel computes as arrays (see
+    :func:`.fresnel_q`).  Instances are immutable and safe to share across
+    threads.
     """
 
     tag: ClassVar[str] = "abstract"
@@ -442,8 +444,8 @@ class MaterialResponse:
         value = self._response(_imaginary_frequency(xi), temperature)
         return value if np.ndim(value) else float(value)
 
-    def reflection(self, xi, q, temperature=None):
-        return self.kernel(xi, q, self._response(xi, temperature))
+    def reflection(self, xi, q, temperature=None, out=None):
+        return self.kernel(xi, q, self._response(xi, temperature), out)
 
     def zero_frequency_reflection(self, k_perp):
         raise NotImplementedError

@@ -52,6 +52,8 @@ METALLIC_PRESETS = {
 
 #: The one bundled table preset, matched case-insensitively like the metallic ones.
 TABLE_PRESET = "Si-static"
+#: Every preset name, metallic ones first, as the CLI help and errors list them.
+PRESET_NAMES = tuple(p.name for p in METALLIC_PRESETS.values()) + (TABLE_PRESET,)
 
 
 def get_metallic_preset(name):
@@ -114,8 +116,7 @@ def build_model(kind, preset=DEFAULT_PRESET, omega_p_ev=None, gamma_ev=None, tab
             raise DomainError(f"model {kind!r} does not use {name}_ev")
     table_preset = bool(preset) and preset.lower() == TABLE_PRESET.lower()
     if preset and not table_preset and preset.lower() not in METALLIC_PRESETS:
-        known = ", ".join([p.name for p in METALLIC_PRESETS.values()] + [TABLE_PRESET])
-        raise DomainError(f"unknown preset {preset!r} (known: {known})")
+        raise DomainError(f"unknown preset {preset!r} (known: {', '.join(PRESET_NAMES)})")
     if kind == "ideal":
         return construct()
     if kind == "table":

@@ -59,16 +59,32 @@ def fresnel_reflection(xi, k_perp, eps):
     return fresnel_q(xi, q, eps)
 
 
-def fresnel_q(xi, q, eps):
+def fresnel_q(xi, q, eps, out=None):
     """Fresnel amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
 
     The kernel behind :func:`fresnel_reflection`, without its input checks:
     the caller guarantees xi > 0, q >= xi/c and eps >= 1.  Inside the
     half-space k = sqrt(q^2 + (eps - 1) xi^2/c^2).
+
+    ``out``, a pair of float arrays of the broadcast shape of ``xi``, ``q``
+    and ``eps``, receives the amplitudes from the same operations in the same
+    order, so they equal the call without it bit for bit; one temporary of
+    that shape remains.
     """
-    k = np.sqrt(q * q + (eps - 1.0) * (xi / CONSTANTS.c) ** 2)
-    eps_q = eps * q
-    return ReflectionPair((eps_q - k) / (eps_q + k), (k - q) / (k + q))
+    if out is None:
+        k = np.sqrt(q * q + (eps - 1.0) * (xi / CONSTANTS.c) ** 2)
+        eps_q = eps * q
+        return ReflectionPair((eps_q - k) / (eps_q + k), (k - q) / (k + q))
+    r_tm, r_te = out
+    k = np.multiply(q, q, out=r_te)
+    np.sqrt(np.add(k, (eps - 1.0) * (xi / CONSTANTS.c) ** 2, out=k), out=k)
+    r_tm[...] = eps  # as an operand of the product, a broadcast eps would be buffered
+    eps_q = np.multiply(r_tm, q, out=r_tm)
+    numerator = eps_q - k
+    np.divide(numerator, np.add(eps_q, k, out=r_tm), out=r_tm)
+    np.subtract(k, q, out=numerator)
+    np.divide(numerator, np.add(k, q, out=r_te), out=r_te)
+    return ReflectionPair(r_tm, r_te)
 
 
 def impedance_reflection(xi, k_perp, impedance):
@@ -80,22 +96,33 @@ def impedance_reflection(xi, k_perp, impedance):
     return impedance_q(*_checked_point("impedance_reflection", xi, k_perp), impedance)
 
 
-def impedance_q(xi, q, impedance):
+def impedance_q(xi, q, impedance, out=None):
     """Leontovich amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
 
     The kernel behind :func:`impedance_reflection`.  It checks only the
     impedance, which has the size of ``xi``, and rejects Z outside (0, 1],
-    NaN included; the caller guarantees xi > 0 and q >= xi/c.
+    NaN included; the caller guarantees xi > 0 and q >= xi/c.  ``out`` is
+    read as by :func:`fresnel_q`.
     """
     impedance = np.asarray(impedance, dtype=float)
     if not np.all((0.0 < impedance) & (impedance <= 1.0)):
         raise DomainError("surface impedance must lie in (0, 1]")
-    cq = CONSTANTS.c * q
     z_xi = impedance * xi
-    return ReflectionPair((cq - z_xi) / (cq + z_xi), (xi - cq * impedance) / (xi + cq * impedance))
+    if out is None:
+        cq = CONSTANTS.c * q
+        return ReflectionPair((cq - z_xi) / (cq + z_xi),
+                              (xi - cq * impedance) / (xi + cq * impedance))
+    r_tm, r_te = out
+    cq = np.multiply(CONSTANTS.c, q, out=r_te)
+    numerator = cq - z_xi
+    np.divide(numerator, np.add(cq, z_xi, out=r_tm), out=r_tm)
+    z_cq = np.multiply(cq, impedance, out=r_te)
+    np.subtract(xi, z_cq, out=numerator)
+    np.divide(numerator, np.add(xi, z_cq, out=r_te), out=r_te)
+    return ReflectionPair(r_tm, r_te)
 
 
-def perfect_q(xi, q, response):
+def perfect_q(xi, q, response, out=None):
     """Perfect-reflector amplitudes (1, 1) as values at every (xi, q); no argument is used."""
     return ReflectionPair(1.0, 1.0)
 

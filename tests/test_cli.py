@@ -212,6 +212,19 @@ def test_unknown_preset_exits_two_for_every_model(tmp_path, capsys, argv):
     assert "unknown preset 'Nonexistent'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pressure", "free-energy", "entropy"])
+def test_help_lists_every_preset(capsys, monkeypatch, command):
+    from thermal_casimir.presets import METALLIC_PRESETS, TABLE_PRESET
+
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a preset name
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name in [p.name for p in METALLIC_PRESETS.values()] + [TABLE_PRESET]:
+        assert name in text
+
+
 _MODEL_KEYS = {"model", "preset", "table_file", "extrapolation", "omega_p_ev", "gamma_ev"}
 _GRID_KEYS = {"command", "z_min_um", "z_max_um", "points", "temperature_K", "tol"} | _MODEL_KEYS
 

@@ -2,7 +2,8 @@ import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import zip_longest
 
 import mpmath as mp
 import numpy as np
@@ -20,14 +21,19 @@ from oracles import (finite_difference_pressure, ideal_metal_mp, ideal_metal_ter
                      integrands_mp, lifshitz_sum_quad, matsubara_sum_direct)
 
 
+def no_reflection(xi, q, response, out=None):
+    """Kernel of a material that reflects nothing: amplitudes (0, 0) as values."""
+    return ReflectionPair(0.0, 0.0)
+
+
 class VacuumModel(tc.MaterialResponse):
     """Material that reflects nothing at any frequency."""
 
     tag = "vacuum"
+    kernel = staticmethod(no_reflection)
 
-    def reflection(self, xi, q, temperature=None):
-        shape = np.broadcast(np.asarray(xi), np.asarray(q)).shape
-        return ReflectionPair(np.zeros(shape), np.zeros(shape))
+    def _response(self, xi, temperature):
+        return np.ones(np.shape(xi))
 
     def zero_frequency_reflection(self, k_perp):
         zero = np.zeros_like(np.asarray(k_perp, dtype=float))
@@ -133,8 +139,22 @@ def test_concurrent_evaluation_is_bitwise_serial(ideal_metal, drude_au):
     from thermal_casimir.presets import si_static_table
 
     silicon = tc.TabulatedPermittivity(si_static_table())
-    jobs = [(z, model) for model in (ideal_metal, drude_au, silicon)
-            for z in (0.1e-6, 0.5e-6, 2e-6)]
+    free_energies = [partial(tc.free_energy, z, 300.0, model)
+                     for model in (ideal_metal, drude_au, silicon) for z in (0.1e-6, 0.5e-6, 2e-6)]
+    entropies = [partial(tc.entropy, z, temperature, model, full_output=True)
+                 for model in (ideal_metal, drude_au) for z, temperature in ((0.1e-6, 30.0),
+                                                                          (1e-6, 1.0))]
+    scans = [partial(tc.nernst_verdict, drude_au, 1e-6, "residual", points=5)]
+    # interleaved, so that F+P calls, entropy passes (each thread on its own
+    # workspace) and a scan run side by side
+    jobs = [job for group in zip_longest(free_energies, entropies, scans) for job in group if job]
+
+    def outcome(job):
+        result = job()
+        if isinstance(result, tc.EntropyScan):
+            return result.verdict, result.entropy_values.tobytes()
+        return result
+
     # start cold so the worker threads fill the shared rule cache concurrently,
     # with frequent thread switches to provoke interleaving
     engine._rule.cache_clear()
@@ -142,11 +162,10 @@ def test_concurrent_evaluation_is_bitwise_serial(ideal_metal, drude_au):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda job: tc.free_energy(job[0], 300.0, job[1]),
-                                     jobs, timeout=120))
+            threaded = list(pool.map(outcome, jobs, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    serial = [tc.free_energy(z, 300.0, model) for z, model in jobs]
+    serial = [outcome(job) for job in jobs]
     assert threaded == serial
 
 
@@ -164,6 +183,9 @@ class TestIntegrand:
         f_only, no_pressure = engine._accumulate((r,), y, np.exp(-y), False)
         assert no_pressure is None
         assert np.array_equal(f_only, f_val)
+        # the entropy pass's in-place form computes the same values bit for bit
+        in_place = engine._log_sum((r.copy(),), np.exp(-y), (np.empty_like(y),))
+        assert in_place.tobytes() == f_only.tobytes()
         for y_i, r_i, f_i, p_i in zip(y, r, y * f_val, p_val):
             exact_f, exact_p = integrands_mp(r_i * r_i, y_i)
             assert abs(f_i - exact_f) <= 2.0 * eps * (1.0 + y_i), y_i
@@ -276,6 +298,17 @@ class TestTruncationAndErrors:
                 reference.free_energy_per_area, rel=1e-13, abs=0.0)
             assert result.pressure == pytest.approx(reference.pressure, rel=1e-13, abs=0.0)
 
+    def test_entropy_blocks_larger_than_the_workspace_get_fresh_arrays(self, drude_au,
+                                                                       monkeypatch):
+        # the reference pass makes this thread's workspace at the default size;
+        # block sizes differ in their band rules, so S agrees within its error
+        reference = engine.entropy_pass(1e-6, 1.0, drude_au)
+        for chunk_nodes in (1, 64 << 14):
+            monkeypatch.setattr(engine, "_CHUNK_NODES", chunk_nodes)
+            estimate = engine.entropy_pass(1e-6, 1.0, drude_au)
+            assert estimate.converged
+            assert abs(estimate.value - reference.value) <= estimate.error + reference.error
+
     def test_long_sum_memory_stays_bounded(self, drude_au):
         # at 1 K and 1 um the sum runs to thousands of terms; term blocks of
         # fixed node count keep the working set independent of that length
@@ -288,6 +321,35 @@ class TestTruncationAndErrors:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_warm_entropy_pass_allocates_no_block_sized_arrays(self, au_parameters):
+        # the F-only kernel writes every node-sized value into its thread's
+        # workspace; a kernel allocating them per block peaked near 0.58 MiB
+        import tracemalloc
+
+        floor = 0.1 * au_parameters.gamma
+        residual = tc.Drude(dataclasses.replace(
+            au_parameters, gamma_of_T=tc.PowerLawGamma(au_parameters.gamma, floor=floor)))
+        engine.entropy_pass(1e-6, 1.0, residual)  # fills the rule cache and the workspace
+        tracemalloc.start()
+        try:
+            engine.entropy_pass(1e-6, 1.0, residual)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2**20
+
+    def test_pass_nested_in_a_kernel_call_leaves_the_outer_pass_exact(self, au_parameters,
+                                                                      drude_au):
+        # a gamma map that runs an entropy pass of its own, inside the outer
+        # pass's reflection call, must not write into the buffers it reads
+        def gamma_after_a_pass(temperature):
+            engine.entropy_pass(0.5e-6, 30.0, drude_au)
+            return au_parameters.gamma
+
+        nested = tc.Drude(dataclasses.replace(au_parameters, gamma_of_T=gamma_after_a_pass))
+        assert (engine.entropy_pass(1e-6, 300.0, nested)
+                == engine.entropy_pass(1e-6, 300.0, drude_au))
 
     def test_millikelvin_sum_costs_about_what_one_kelvin_costs(self, drude_au, monkeypatch):
         nodes = [0]

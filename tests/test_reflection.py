@@ -165,6 +165,34 @@ def test_reflection_never_exceeds_one(tag, log_xi, log_excess, temperature):
     assert np.all(np.abs(pair.r_tm) <= 1.0) and np.all(np.abs(pair.r_te) <= 1.0)
 
 
+@pytest.mark.parametrize("tag", _TAGS)
+def test_out_pair_receives_the_amplitudes_bit_for_bit(tag):
+    # the entropy pass hands the kernel views of its per-thread buffers
+    from thermal_casimir.presets import build_model
+
+    model = build_model(tag, preset="Si-static" if tag == "table" else "Au-paper")
+    xi = np.geomspace(1e11, 1e17, 7)[:, None]
+    q = xi / CONSTANTS.c * np.geomspace(1.0, 1e6, 11)[None, :]
+    buffers = np.full((2, 100), np.nan)
+    out = [buffer[: q.size].reshape(q.shape) for buffer in buffers]
+    for temperature in (None, 1.0, 300.0):
+        plain = model.reflection(xi, q, temperature)
+        written = model.reflection(xi, q, temperature, out)
+        for value, amplitude, buffer in zip(plain, written, out):
+            assert (np.broadcast_to(amplitude, q.shape).tobytes()
+                    == np.broadcast_to(value, q.shape).tobytes())
+            if isinstance(amplitude, np.ndarray):
+                assert amplitude.shape == q.shape and np.shares_memory(amplitude, buffer)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, 1.5, math.nan, [0.1, math.nan]])
+def test_impedance_kernel_checks_before_writing_out(bad):
+    out = (np.full(2, 7.0), np.full(2, 7.0))
+    with pytest.raises(DomainError, match=r"surface impedance must lie in \(0, 1\]"):
+        reflection.impedance_q(1e15, np.array([1e7, 2e7]), np.asarray(bad), out)
+    assert np.all(out[0] == 7.0) and np.all(out[1] == 7.0)
+
+
 class TestZeroFrequencyRules:
     def test_ideal_and_skin_effect_reflect_fully(self, au_omega_p, au_gamma):
         k = np.geomspace(1e3, 1e8, 7)

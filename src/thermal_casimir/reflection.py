@@ -67,9 +67,9 @@ def fresnel_q(xi, q, eps, out=None):
     half-space k = sqrt(q^2 + (eps - 1) xi^2/c^2).
 
     ``out``, a pair of float arrays of the broadcast shape of ``xi``, ``q``
-    and ``eps``, receives the amplitudes from the same operations in the same
-    order, so they equal the call without it bit for bit; one temporary of
-    that shape remains.
+    and ``eps`` that share no memory with ``q``, receives the amplitudes from
+    the same operations in the same order, so they equal the call without it
+    bit for bit; one temporary of that shape remains.
     """
     if out is None:
         k = np.sqrt(q * q + (eps - 1.0) * (xi / CONSTANTS.c) ** 2)
@@ -78,7 +78,7 @@ def fresnel_q(xi, q, eps, out=None):
     r_tm, r_te = out
     k = np.multiply(q, q, out=r_te)
     np.sqrt(np.add(k, (eps - 1.0) * (xi / CONSTANTS.c) ** 2, out=k), out=k)
-    r_tm[...] = eps  # as an operand of the product, a broadcast eps would be buffered
+    r_tm[...] = eps  # numpy would copy a broadcast eps operand into a new buffer
     eps_q = np.multiply(r_tm, q, out=r_tm)
     numerator = eps_q - k
     np.divide(numerator, np.add(eps_q, k, out=r_tm), out=r_tm)

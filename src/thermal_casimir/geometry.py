@@ -121,4 +121,6 @@ def pressure_from_gradient(force_gradient, radius):
     """
     if not 0.0 < radius < np.inf:
         raise DomainError("radius must be positive and finite")
+    if not np.all(np.isfinite(force_gradient)):
+        raise DomainError("force gradient must be finite")
     return -force_gradient / (2.0 * np.pi * radius)

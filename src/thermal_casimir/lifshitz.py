@@ -65,13 +65,12 @@ fixed discretization, with its own error figure, in which the pressure
 majorant bounds the difference terms past the cut (a proof for the ideal
 metal only).
 
-The entropy pass's F-only kernel writes every node-sized array (y, q = y/(2z),
-e^-y and the two amplitudes, which become the F integrand in place) into a
-workspace of five _CHUNK_NODES-value buffers per thread, reused by every block
-(:func:`_workspace`).  Allocating them per block made the allocator return the
-freed heap to the system and fault it back in on the next block.  The kernel
-runs the operations of the F+P path in its order, so S is bitwise unchanged;
-F and P still allocate per block.
+Both modes write a block's y, q = y/(2z), e^-y and amplitudes into five
+_CHUNK_NODES-value buffers per thread, reused by every block
+(:func:`_workspace`), as allocating them per block made the allocator fault
+the freed heap back in.  The entropy pass then forms its F integrand in place
+and F+P allocate theirs, by the same operations in the same order, so both
+give the same F terms bit for bit.
 
 Apart from that per-thread scratch, everything here is a pure function of
 immutable inputs, reduced in a fixed order, so results are bit-reproducible
@@ -228,32 +227,29 @@ def _rule(level):
     return _Rule(*pair(L0_EDGES), tuple(bands), np.array([0.0] + graded))
 
 
-def _accumulate(pair, y, decay, want_pressure):
-    """Sum of both polarization integrands at the given nodes.
+def _accumulate(pair, y, decay):
+    """Sum of both polarization integrands at the given nodes, in new arrays.
 
-    Returns the free-energy integrand values and (optionally) the pressure
-    integrand values, without the y / y^2 measure factors.  The free-energy
-    integrand is log1p(-x), x = r^2 e^-y, at every node: 1 - x >= 1 - e^-y,
-    so rounding x costs at most about eps (1 + y) absolute in y ln(1 - x).
+    Returns the free-energy and the pressure integrand values, without the
+    y / y^2 measure factors.  The free-energy integrand is log1p(-x),
+    x = r^2 e^-y, at every node: 1 - x >= 1 - e^-y, so rounding x costs at
+    most about eps (1 + y) absolute in y ln(1 - x).
     """
     f_val, p_val = 0.0, 0.0
-    one_minus_decay = -np.expm1(-y) if want_pressure else None
+    one_minus_decay = -np.expm1(-y)
     for r in pair:
         r2 = np.asarray(r, dtype=float) ** 2
         x = r2 * decay
         f_val = f_val + np.log1p(-x)
-        if want_pressure:
-            p_val = p_val + x / (one_minus_decay + (1.0 - r2) * decay)
-    return f_val, p_val if want_pressure else None
+        p_val = p_val + x / (one_minus_decay + (1.0 - r2) * decay)
+    return f_val, p_val
 
 
 def _log_sum(pair, decay, out):
-    """The free-energy values of :func:`_accumulate`, computed in place in ``out``.
+    """The free-energy values of :func:`_accumulate`, bitwise, by its operations in place.
 
-    ``out`` is a pair of float arrays shaped like ``decay``; each may hold the
-    amplitude it is paired with.  The operations are those of
-    :func:`_accumulate`, in its order, so the values are bitwise the same.
-    Returns ``out[0]``.
+    ``out`` is a pair of float arrays shaped like ``decay``, each of which may
+    hold the amplitude it is paired with; returns ``out[0]``.
     """
     f_val = 0.0
     for r, buf in zip(pair, out):
@@ -262,18 +258,18 @@ def _log_sum(pair, decay, out):
     return f_val
 
 
-# Buffers of the F-only kernel, one set per thread (see _workspace).
+# Buffers of the term kernel, one set per thread (see _workspace).
 _LOCAL = threading.local()
 
 
 @contextmanager
 def _workspace(shape):
-    """Five float arrays of ``shape``, stacked, for one F-only kernel call.
+    """Five float arrays of ``shape``, stacked, for one term kernel call.
 
     They are views of this thread's five buffers of _CHUNK_NODES values, made
-    on first use and reused by every later block.  The buffers leave the
-    thread while in use, so a pass nested in a kernel call (a gamma map that
-    runs one) makes its own; a block larger than they are gets fresh arrays.
+    on first use and reused by every later block.  The buffers leave the thread
+    while in use, so a call nested in a kernel call (a gamma map that runs one)
+    makes its own; a block larger than they are gets fresh arrays.
     """
     buffers = getattr(_LOCAL, "buffers", None)
     if buffers is None:
@@ -289,39 +285,38 @@ def _workspace(shape):
         _LOCAL.buffers = buffers
 
 
-def _zero_term(z, l0_model, rule, want_pressure):
-    """Weighted (Kronrod, Gauss) l = 0 term (carries the 1/2 Matsubara weight)."""
+def _zero_term(z, l0_model, rule):
+    """Weighted (Kronrod, Gauss) l = 0 terms of F and P (with the 1/2 Matsubara weight)."""
     y = rule.l0_nodes
     pair = l0_model.zero_frequency_reflection(y / (2.0 * z))
-    f_val, p_val = _accumulate(pair, y, np.exp(-y), want_pressure)
-    term_f = 0.5 * (rule.l0_weights @ (y * f_val))
-    term_p = 0.5 * (rule.l0_weights @ (y * y * p_val)) if want_pressure else np.zeros(2)
-    return term_f, term_p
+    f_val, p_val = _accumulate(pair, y, np.exp(-y))
+    return 0.5 * (rule.l0_weights @ (y * f_val)), 0.5 * (rule.l0_weights @ (y * y * p_val))
 
 
 def _positive_terms(z, temperature, model, indices, y_step, band, want_pressure):
     """(Kronrod, Gauss) rows of F term integrals for l >= 1, then of P ones with ``want_pressure``.
 
     ``band`` is the (nodes, weights) pair of one band of the rule; l need not
-    be an integer.  Without ``want_pressure`` (the entropy pass) every
-    node-sized value is written into the thread's :func:`_workspace`, by the
-    operations of the F+P path in its order; the rows are fresh arrays.
+    be an integer.  y, q = y/(2z), e^-y and the amplitudes are written into
+    the thread's :func:`_workspace`; the modes differ only in the integrand,
+    and the rows are fresh arrays.
     """
     nodes, weights = band
     idx = np.asarray(indices, dtype=float)
     xi = (2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar) * idx[:, None]
-    if want_pressure:
-        y = y_step * idx[:, None] + nodes[None, :]
-        pair = model.reflection(xi, y / (2.0 * z), temperature)
-        f_val, p_val = _accumulate(pair, y, np.exp(-y), True)
-        return [weights @ (y * f_val).T, weights @ (y * y * p_val).T]
     with _workspace((idx.size, nodes.size)) as (y, q, decay, *amplitudes):
         # numpy copies a broadcast ufunc operand into a buffer of the block's size;
         # assigning it to an array does not allocate
         y[...] = nodes
         np.add(y_step * idx[:, None], y, out=y)
         pair = model.reflection(xi, np.divide(y, 2.0 * z, out=q), temperature, amplitudes)
-        f_val = _log_sum(pair, np.exp(np.negative(y, out=decay), out=decay), amplitudes)
+        np.exp(np.negative(y, out=decay), out=decay)
+        if want_pressure:
+            # allocating on purpose: in place it speeds room-grid, whose peak
+            # memory grows with its speed until ROADMAP item 1 (then item 2)
+            f_val, p_val = _accumulate(pair, y, decay)
+            return [weights @ (y * f_val).T, weights @ (y * y * p_val).T]
+        f_val = _log_sum(pair, decay, amplitudes)
         return [weights @ np.multiply(y, f_val, out=f_val).T]
 
 
@@ -443,7 +438,7 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, entropy=Fa
                   np.array(_majorant_tail(truncated_from, y_step)))
         return sums, errors, count, zero[0, 0] / sums[0, 0]
 
-    zero_f, zero_p = _zero_term(z, l0_model, rule, not entropy)
+    zero_f, zero_p = _zero_term(z, l0_model, rule)
     # the l = 0 term does not depend on T: D takes it through the k_B T prefactor only
     zero = np.stack((zero_f, zero_f if entropy else zero_p))
     exact, head_end = _EXACT_TERMS, _EXACT_TERMS + len(_GREGORY)

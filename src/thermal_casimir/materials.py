@@ -428,10 +428,10 @@ class MaterialResponse:
     temperature, out)``, the kernel applied to ``_response``, is the only
     reflection path; it takes xi > 0 and the vacuum decay constant
     q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c, the variable the Matsubara engine
-    integrates in, and does not validate them.  An ``out`` pair of arrays
-    receives the amplitudes the kernel computes as arrays (see
-    :func:`.fresnel_q`).  Instances are immutable and safe to share across
-    threads.
+    integrates in, and does not validate them.  The kernel writes amplitudes it
+    computes as arrays into ``out`` (the engine passes views of its workspace)
+    or into a pair it allocates (see :func:`.fresnel_q`).  Instances are
+    immutable and safe to share across threads.
     """
 
     tag: ClassVar[str] = "abstract"

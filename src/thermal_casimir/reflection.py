@@ -59,6 +59,14 @@ def fresnel_reflection(xi, k_perp, eps):
     return fresnel_q(xi, q, eps)
 
 
+def _pair(out, *operands):
+    """``out``, or a fresh pair of float arrays of the operands' broadcast shape."""
+    if out is None:
+        shape = np.broadcast_shapes(*map(np.shape, operands))
+        out = np.empty(shape), np.empty(shape)
+    return out
+
+
 def fresnel_q(xi, q, eps, out=None):
     """Fresnel amplitudes in the vacuum decay constant q = sqrt(k_perp^2 + xi^2/c^2).
 
@@ -66,25 +74,21 @@ def fresnel_q(xi, q, eps, out=None):
     the caller guarantees xi > 0, q >= xi/c and eps >= 1.  Inside the
     half-space k = sqrt(q^2 + (eps - 1) xi^2/c^2).
 
-    ``out``, a pair of float arrays of the broadcast shape of ``xi``, ``q``
-    and ``eps`` that share no memory with ``q``, receives the amplitudes from
-    the same operations in the same order, so they equal the call without it
-    bit for bit; one temporary of that shape remains.
+    The amplitudes go into ``out``, float arrays of the broadcast shape of
+    ``xi``, ``q`` and ``eps`` sharing no memory with ``q``, or into a fresh
+    pair (numpy scalars for scalar input); one temporary of that shape remains.
     """
-    if out is None:
-        k = np.sqrt(q * q + (eps - 1.0) * (xi / CONSTANTS.c) ** 2)
-        eps_q = eps * q
-        return ReflectionPair((eps_q - k) / (eps_q + k), (k - q) / (k + q))
-    r_tm, r_te = out
+    r_tm, r_te = _pair(out, xi, q, eps)
     k = np.multiply(q, q, out=r_te)
     np.sqrt(np.add(k, (eps - 1.0) * (xi / CONSTANTS.c) ** 2, out=k), out=k)
     r_tm[...] = eps  # numpy would copy a broadcast eps operand into a new buffer
     eps_q = np.multiply(r_tm, q, out=r_tm)
-    numerator = eps_q - k
+    # an array, not the numpy scalar ``eps_q - k`` gives for 0-d operands
+    numerator = np.subtract(eps_q, k, out=np.empty_like(k))
     np.divide(numerator, np.add(eps_q, k, out=r_tm), out=r_tm)
     np.subtract(k, q, out=numerator)
     np.divide(numerator, np.add(k, q, out=r_te), out=r_te)
-    return ReflectionPair(r_tm, r_te)
+    return ReflectionPair(r_tm, r_te) if out is not None else ReflectionPair(r_tm[()], r_te[()])
 
 
 def impedance_reflection(xi, k_perp, impedance):
@@ -101,25 +105,21 @@ def impedance_q(xi, q, impedance, out=None):
 
     The kernel behind :func:`impedance_reflection`.  It checks only the
     impedance, which has the size of ``xi``, and rejects Z outside (0, 1],
-    NaN included; the caller guarantees xi > 0 and q >= xi/c.  ``out`` is
-    read as by :func:`fresnel_q`.
+    NaN included, before it writes anything; the caller guarantees xi > 0 and
+    q >= xi/c.  ``out`` is read as by :func:`fresnel_q`.
     """
     impedance = np.asarray(impedance, dtype=float)
     if not np.all((0.0 < impedance) & (impedance <= 1.0)):
         raise DomainError("surface impedance must lie in (0, 1]")
+    r_tm, r_te = _pair(out, xi, q, impedance)
     z_xi = impedance * xi
-    if out is None:
-        cq = CONSTANTS.c * q
-        return ReflectionPair((cq - z_xi) / (cq + z_xi),
-                              (xi - cq * impedance) / (xi + cq * impedance))
-    r_tm, r_te = out
     cq = np.multiply(CONSTANTS.c, q, out=r_te)
-    numerator = cq - z_xi
+    numerator = np.subtract(cq, z_xi, out=np.empty_like(cq))
     np.divide(numerator, np.add(cq, z_xi, out=r_tm), out=r_tm)
     z_cq = np.multiply(cq, impedance, out=r_te)
     np.subtract(xi, z_cq, out=numerator)
     np.divide(numerator, np.add(xi, z_cq, out=r_te), out=r_te)
-    return ReflectionPair(r_tm, r_te)
+    return ReflectionPair(r_tm, r_te) if out is not None else ReflectionPair(r_tm[()], r_te[()])
 
 
 def perfect_q(xi, q, response, out=None):

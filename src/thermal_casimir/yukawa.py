@@ -104,6 +104,8 @@ def yukawa_potential(r, m1, m2, params):
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 < r) & (r < np.inf)):
         raise DomainError("distance must be positive and finite")
+    if not all(np.all((0.0 < m) & (m < np.inf)) for m in np.broadcast_arrays(m1, m2)):
+        raise DomainError("masses must be positive and finite")
     value = -CONSTANTS.G * m1 * m2 * (1.0 + params.alpha * np.exp(-r / params.lam)) / r
     return value if value.ndim else float(value)
 
@@ -247,15 +249,17 @@ class ExclusionCurve:
 
 
 def _hypothetical_pressure_fn(geometry):
-    body_a, body_b = geometry
-    a_sphere = isinstance(body_a, Sphere)
-    b_sphere = isinstance(body_b, Sphere)
-    if a_sphere and b_sphere:
+    try:
+        body_a, body_b = geometry
+    except (TypeError, ValueError):
+        raise DomainError("geometry must be a pair of bodies") from None
+    if isinstance(body_b, Sphere):
+        body_a, body_b = body_b, body_a
+    if isinstance(body_b, Sphere):
         raise DomainError("sphere-sphere geometry is not supported")
-    if not a_sphere and not b_sphere:
-        return lambda z, params: yukawa_pressure_plates(z, body_a, body_b, params)
-    sphere, plate = (body_a, body_b) if a_sphere else (body_b, body_a)
-    return lambda z, params: sphere_plate_effective_pressure(z, sphere, plate, params)
+    if isinstance(body_a, Sphere):
+        return lambda z, params: sphere_plate_effective_pressure(z, body_a, body_b, params)
+    return lambda z, params: yukawa_pressure_plates(z, body_a, body_b, params)
 
 
 def exclusion_bound(bound, geometry, lambdas, provenance=""):

@@ -5,10 +5,10 @@ results and the sha256 of ``repr`` of the result list, so two source trees
 can be compared for bitwise-identical results on the same machine with one
 command each.  Two more lines give the same for each engine mode on its own:
 the free-energy tuples, then the rest (the ``entropy_pass`` tuples and the
-two scans), so a change shows which mode it moved.  The last line counts
-the l >= 1 integrand nodes and kernel calls of that entropy half, so a change
-can show its saving in work next to its bitwise state.  pytest does not
-collect this file.
+two scans), so a change shows which mode it moved.  The last two lines count
+the l >= 1 integrand nodes and kernel calls of the entropy half, then of the
+F/P half, so a change can show its saving in work next to its bitwise state.
+pytest does not collect this file.
 
 The battery covers every model kind (``table`` on the Si-static preset, the
 others on Au-paper) at z in {5 nm, 0.1, 1, 10 um}, T in {1, 30, 300 K} and
@@ -53,18 +53,19 @@ def battery():
     return results
 
 
-def count_entropy_nodes():
-    """Wrap ``lifshitz._positive_terms`` to count the nodes of its F-only (entropy) calls.
+def count_nodes():
+    """Wrap ``lifshitz._positive_terms`` to count the nodes of its calls, per mode.
 
-    Returns the running [nodes, kernel calls] pair.
+    Returns the running [nodes, kernel calls] pairs, keyed by ``want_pressure``:
+    False for the entropy pass, True for F and P.
     """
-    counts = [0, 0]
+    counts = {False: [0, 0], True: [0, 0]}
     positive_terms = lifshitz._positive_terms
 
     def counted(z, temperature, model, indices, y_step, band, want_pressure):
-        if not want_pressure:
-            counts[0] += len(indices) * band[0].size
-            counts[1] += 1
+        tally = counts[want_pressure]
+        tally[0] += len(indices) * band[0].size
+        tally[1] += 1
         return positive_terms(z, temperature, model, indices, y_step, band, want_pressure)
 
     lifshitz._positive_terms = counted
@@ -77,13 +78,15 @@ def fingerprint(results):
 
 
 def main():
-    counts = count_entropy_nodes()
+    counts = count_nodes()
     results = battery()
     print(fingerprint(results))
     # the free-energy tuples are the only ones that start with a model tag
     print("F/P:", fingerprint([r for r in results if r[0] in MODEL_KINDS]))
     print("entropy:", fingerprint([r for r in results if r[0] not in MODEL_KINDS]))
-    print(f"entropy l >= 1 nodes: {counts[0]} in {counts[1]} kernel calls")
+    for label, want_pressure in (("entropy", False), ("F/P", True)):
+        nodes, calls = counts[want_pressure]
+        print(f"{label} l >= 1 nodes: {nodes} in {calls} kernel calls")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ with scipy quadrature and differentiated by central differences, and special
 function integrals use composite fixed-order Gauss-Legendre panels or 30-digit
 mpmath tanh-sinh quadrature instead of the library's panel refinement.  The
 Matsubara oracle integrates every term adaptively in the in-plane wavevector,
-not on the library's fixed panels in the decay variable.
+not on the library's fixed panels in the decay variable.  The reflection
+kernel references are the exception: they state the kernels' own operations
+as plain allocating expressions, so the in-place kernels can be compared
+with them bit for bit.
 """
 
 import itertools
@@ -232,7 +235,7 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
 
     rule = engine._rule(level)
     y_step = 4.0 * np.pi * sc.k * temperature * z / (sc.hbar * sc.c)
-    zero_f, zero_p = engine._zero_term(z, model, rule, True)
+    zero_f, zero_p = engine._zero_term(z, model, rule)
     terms_f, terms_p = [zero_f[:1]], [zero_p[:1]]
     count = int(y_stop / y_step)
     for start in range(1, count + 1, 256):
@@ -244,6 +247,33 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
     prefactor = sc.k * temperature / (8.0 * np.pi * z**2)
     return (prefactor * math.fsum(np.concatenate(terms_f)),
             -prefactor / z * math.fsum(np.concatenate(terms_p)))
+
+
+# ---------------------------------------------------------------------------
+# reflection kernels as plain expressions
+# ---------------------------------------------------------------------------
+
+
+def fresnel_q_reference(xi, q, eps):
+    """The Fresnel amplitudes of ``reflection.fresnel_q`` as allocating expressions.
+
+    The same operations as the kernel, each into a new array, so its
+    amplitudes must equal these bit for bit.
+    """
+    from thermal_casimir.constants import CONSTANTS
+
+    k = np.sqrt(q * q + (eps - 1.0) * (xi / CONSTANTS.c) ** 2)
+    eps_q = eps * q
+    return (eps_q - k) / (eps_q + k), (k - q) / (k + q)
+
+
+def impedance_q_reference(xi, q, impedance):
+    """The Leontovich amplitudes of ``reflection.impedance_q`` as allocating expressions."""
+    from thermal_casimir.constants import CONSTANTS
+
+    z_xi = impedance * xi
+    cq = CONSTANTS.c * q
+    return (cq - z_xi) / (cq + z_xi), (xi - cq * impedance) / (xi + cq * impedance)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,11 @@ class TestPressureFromGradient:
         with pytest.raises(DomainError):
             tc.pressure_from_gradient(1.0, radius)
 
+    @pytest.mark.parametrize("gradient", [np.nan, -np.inf, np.array([1.0, np.nan])])
+    def test_finite_gradient_required(self, gradient):
+        with pytest.raises(DomainError, match="force gradient must be finite"):
+            tc.pressure_from_gradient(gradient, 1e-4)
+
 
 class TestGeometryCase:
     def test_validity_flag_threshold(self):

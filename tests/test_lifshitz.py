@@ -145,8 +145,8 @@ def test_concurrent_evaluation_is_bitwise_serial(ideal_metal, drude_au):
                  for model in (ideal_metal, drude_au) for z, temperature in ((0.1e-6, 30.0),
                                                                           (1e-6, 1.0))]
     scans = [partial(tc.nernst_verdict, drude_au, 1e-6, "residual", points=5)]
-    # interleaved, so that F+P calls, entropy passes (each thread on its own
-    # workspace) and a scan run side by side
+    # interleaved, so that F+P calls, entropy passes and a scan, each thread on
+    # its own workspace, run side by side
     jobs = [job for group in zip_longest(free_energies, entropies, scans) for job in group if job]
 
     def outcome(job):
@@ -179,13 +179,10 @@ class TestIntegrand:
         eps = np.finfo(float).eps
         y = np.geomspace(1e-9, 40.0, 241)
         r = np.full_like(y, math.sqrt(r2))
-        f_val, p_val = engine._accumulate((r,), y, np.exp(-y), True)
-        f_only, no_pressure = engine._accumulate((r,), y, np.exp(-y), False)
-        assert no_pressure is None
-        assert np.array_equal(f_only, f_val)
+        f_val, p_val = engine._accumulate((r,), y, np.exp(-y))
         # the entropy pass's in-place form computes the same values bit for bit
         in_place = engine._log_sum((r.copy(),), np.exp(-y), (np.empty_like(y),))
-        assert in_place.tobytes() == f_only.tobytes()
+        assert in_place.tobytes() == f_val.tobytes()
         for y_i, r_i, f_i, p_i in zip(y, r, y * f_val, p_val):
             exact_f, exact_p = integrands_mp(r_i * r_i, y_i)
             assert abs(f_i - exact_f) <= 2.0 * eps * (1.0 + y_i), y_i
@@ -341,23 +338,27 @@ class TestTruncationAndErrors:
 
     def test_pass_nested_in_a_kernel_call_leaves_the_outer_pass_exact(self, au_parameters,
                                                                       drude_au):
-        # a gamma map that runs an entropy pass of its own, inside the outer
-        # pass's reflection call, must not write into the buffers it reads
-        def gamma_after_a_pass(temperature):
-            engine.entropy_pass(0.5e-6, 30.0, drude_au)
-            return au_parameters.gamma
+        # a gamma map that runs an entropy pass or an F+P call of its own, inside
+        # the outer call's reflection call, must not write into the buffers it
+        # reads; the reference calls come first, so this thread's workspace exists
+        expected = (engine.entropy_pass(1e-6, 300.0, drude_au),
+                    tc.free_energy(1e-6, 300.0, drude_au))
+        for inner in (engine.entropy_pass, tc.free_energy):
+            def gamma_after_a_pass(temperature, inner=inner):
+                inner(0.5e-6, 30.0, drude_au)
+                return au_parameters.gamma
 
-        nested = tc.Drude(dataclasses.replace(au_parameters, gamma_of_T=gamma_after_a_pass))
-        assert (engine.entropy_pass(1e-6, 300.0, nested)
-                == engine.entropy_pass(1e-6, 300.0, drude_au))
+            nested = tc.Drude(dataclasses.replace(au_parameters, gamma_of_T=gamma_after_a_pass))
+            assert (engine.entropy_pass(1e-6, 300.0, nested),
+                    tc.free_energy(1e-6, 300.0, nested)) == expected
 
     def test_millikelvin_sum_costs_about_what_one_kelvin_costs(self, drude_au, monkeypatch):
         nodes = [0]
         reflection = tc.Drude.reflection
 
-        def counting(model, xi, q, temperature=None):
+        def counting(model, xi, q, temperature=None, out=None):
             nodes[0] += np.size(q)
-            return reflection(model, xi, q, temperature)
+            return reflection(model, xi, q, temperature, out)
 
         monkeypatch.setattr(tc.Drude, "reflection", counting)
         config = tc.EvaluationConfig(rel_tolerance=1e-9)
@@ -645,7 +646,7 @@ def test_partial_sum_plus_majorant_bounds_the_sum(model, log_z, log_y_step, head
     exact = 1 + int(head / y_step)
     temperature = y_step * CONSTANTS.hbar * CONSTANTS.c / (4.0 * np.pi * CONSTANTS.k_B * z)
     rule = engine._rule(2)
-    partial = (np.stack(engine._zero_term(z, model, rule, True))[:, 0]
+    partial = (np.stack(engine._zero_term(z, model, rule))[:, 0]
                + engine._terms(z, temperature, model, np.arange(1, exact), y_step, rule,
                                False)[:, 0].sum(axis=1))
     bound = np.abs(partial) + engine._majorant_tail(exact * y_step, y_step)

@@ -10,11 +10,15 @@ from thermal_casimir import reflection
 from thermal_casimir.constants import CONSTANTS
 from thermal_casimir.errors import DomainError, PrescriptionError
 
+from oracles import fresnel_q_reference, impedance_q_reference
+
 
 class TestFresnel:
     def test_vacuum_reflects_nothing(self):
         pair = tc.fresnel_reflection(1e15, 1e6, 1.0)
         assert pair.r_tm == 0.0 and pair.r_te == 0.0
+        # scalar input gives numpy scalars, not 0-d arrays
+        assert all(type(r) is np.float64 for r in pair)
 
     def test_perfect_conductor_limit(self):
         pair = tc.fresnel_reflection(1e15, 1e6, 1e12)
@@ -59,6 +63,8 @@ class TestImpedanceReflection:
         pair = tc.impedance_reflection(1e15, 0.0, 1.0)
         assert pair.r_tm == pytest.approx(0.0, abs=1e-15)
         assert pair.r_te == pytest.approx(0.0, abs=1e-15)
+        # scalar input gives numpy scalars, not 0-d arrays
+        assert all(type(r) is np.float64 for r in pair)
 
     def test_invalid_impedance_rejected(self):
         for bad in (0.0, -0.2, 1.5):
@@ -165,9 +171,17 @@ def test_reflection_never_exceeds_one(tag, log_xi, log_excess, temperature):
     assert np.all(np.abs(pair.r_tm) <= 1.0) and np.all(np.abs(pair.r_te) <= 1.0)
 
 
+_REFERENCE_KERNELS = {
+    reflection.fresnel_q: fresnel_q_reference,
+    reflection.impedance_q: impedance_q_reference,
+    reflection.perfect_q: lambda xi, q, response: (1.0, 1.0),
+}
+
+
 @pytest.mark.parametrize("tag", _TAGS)
 def test_out_pair_receives_the_amplitudes_bit_for_bit(tag):
-    # the entropy pass hands the kernel views of its per-thread buffers
+    # the engine hands the kernel views of its per-thread buffers; with or
+    # without them the amplitudes are those of the plain expressions, bit for bit
     from thermal_casimir.presets import build_model
 
     model = build_model(tag, preset="Si-static" if tag == "table" else "Au-paper")
@@ -176,11 +190,13 @@ def test_out_pair_receives_the_amplitudes_bit_for_bit(tag):
     buffers = np.full((2, 100), np.nan)
     out = [buffer[: q.size].reshape(q.shape) for buffer in buffers]
     for temperature in (None, 1.0, 300.0):
+        expected = _REFERENCE_KERNELS[model.kernel](xi, q, model.response(xi, temperature))
         plain = model.reflection(xi, q, temperature)
         written = model.reflection(xi, q, temperature, out)
-        for value, amplitude, buffer in zip(plain, written, out):
-            assert (np.broadcast_to(amplitude, q.shape).tobytes()
-                    == np.broadcast_to(value, q.shape).tobytes())
+        for value, fresh, amplitude, buffer in zip(expected, plain, written, out):
+            for computed in (fresh, amplitude):
+                assert (np.broadcast_to(computed, q.shape).tobytes()
+                        == np.broadcast_to(value, q.shape).tobytes())
             if isinstance(amplitude, np.ndarray):
                 assert amplitude.shape == q.shape and np.shares_memory(amplitude, buffer)
 

@@ -39,6 +39,13 @@ class TestYukawaPotential:
         with pytest.raises(DomainError):
             tc.yukawa_potential(0.0, 1.0, 1.0, tc.YukawaParams(1.0, 1e-6))
 
+    @pytest.mark.parametrize("mass", [np.nan, np.inf, 0.0, -1.0, np.array([1.0, np.nan])])
+    def test_positive_finite_masses_required(self, mass):
+        params = tc.YukawaParams(1.0, 1e-6)
+        for masses in ((mass, 1.0), (1.0, mass)):
+            with pytest.raises(DomainError, match="masses must be positive and finite"):
+                tc.yukawa_potential(1e-6, *masses, params)
+
 
 class TestPlatePressure:
     def test_zero_strength(self):
@@ -269,6 +276,9 @@ class TestExclusionBound:
         curve = tc.exclusion_bound(flat_bound, geometry, np.geomspace(0.1e-6, 2e-6, 5))
         assert np.all(np.isfinite(curve.alpha_max))
         assert np.all(curve.alpha_max > 0.0)
+        # the sphere may come second
+        swapped = tc.exclusion_bound(flat_bound, geometry[::-1], curve.lambdas)
+        assert swapped.alpha_max.tobytes() == curve.alpha_max.tobytes()
 
     def test_underflowing_pressure_marks_unbounded(self, plate_pair):
         bound = tc.ResidualBound(z=np.array([1e-3]), delta_tot=np.array([1e-3]))
@@ -279,6 +289,13 @@ class TestExclusionBound:
     def test_lambda_grid_must_be_positive_and_finite(self, flat_bound, plate_pair, bad):
         with pytest.raises(DomainError):
             tc.exclusion_bound(flat_bound, plate_pair, np.array([1e-6, bad]))
+
+    @pytest.mark.parametrize("geometry", [(tc.SemispacePlate(GOLD),),
+                                          (tc.SemispacePlate(GOLD),) * 3,
+                                          tc.SemispacePlate(GOLD), None])
+    def test_geometry_must_be_a_pair(self, flat_bound, geometry):
+        with pytest.raises(DomainError, match="geometry must be a pair of bodies"):
+            tc.exclusion_bound(flat_bound, geometry, np.array([1e-6]))
 
     def test_sphere_sphere_rejected(self, flat_bound):
         with pytest.raises(DomainError):

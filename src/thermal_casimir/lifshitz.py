@@ -65,12 +65,12 @@ fixed discretization, with its own error figure, in which the pressure
 majorant bounds the difference terms past the cut (a proof for the ideal
 metal only).
 
-Both modes write a block's y, q = y/(2z), e^-y and amplitudes into five
-_CHUNK_NODES-value buffers per thread, reused by every block
+Both modes write a block's y, q = y/(2z), e^-y, amplitudes and integrands
+into _CHUNK_NODES-value buffers per thread, reused by every block
 (:func:`_workspace`), as allocating them per block made the allocator fault
-the freed heap back in.  The entropy pass then forms its F integrand in place
-and F+P allocate theirs, by the same operations in the same order, so both
-give the same F terms bit for bit.
+the freed heap back in.  One routine forms the integrands in place
+(:func:`_integrands`): F for both modes, P only when asked, so the entropy
+pass and F+P give the same F terms bit for bit.
 
 Apart from that per-thread scratch, everything here is a pure function of
 immutable inputs, reduced in a fixed order, so results are bit-reproducible
@@ -227,97 +227,91 @@ def _rule(level):
     return _Rule(*pair(L0_EDGES), tuple(bands), np.array([0.0] + graded))
 
 
-def _accumulate(pair, y, decay):
-    """Sum of both polarization integrands at the given nodes, in new arrays.
-
-    Returns the free-energy and the pressure integrand values, without the
-    y / y^2 measure factors.  The free-energy integrand is log1p(-x),
-    x = r^2 e^-y, at every node: 1 - x >= 1 - e^-y, so rounding x costs at
-    most about eps (1 + y) absolute in y ln(1 - x).
-    """
-    f_val, p_val = 0.0, 0.0
-    one_minus_decay = -np.expm1(-y)
-    for r in pair:
-        r2 = np.asarray(r, dtype=float) ** 2
-        x = r2 * decay
-        f_val = f_val + np.log1p(-x)
-        p_val = p_val + x / (one_minus_decay + (1.0 - r2) * decay)
-    return f_val, p_val
-
-
-def _log_sum(pair, decay, out):
-    """The free-energy values of :func:`_accumulate`, bitwise, by its operations in place.
-
-    ``out`` is a pair of float arrays shaped like ``decay``, each of which may
-    hold the amplitude it is paired with; returns ``out[0]``.
-    """
-    f_val = 0.0
-    for r, buf in zip(pair, out):
-        x = np.multiply(np.square(r, out=buf), decay, out=buf)
-        f_val = np.add(f_val, np.log1p(np.negative(x, out=x), out=x), out=out[0])
-    return f_val
-
-
-# Buffers of the term kernel, one set per thread (see _workspace).
+# Buffers of the term kernel, one set per thread (see _workspace): y, q = y/(2z),
+# e^-y, the two amplitudes, then 1 - e^-y, P and a scratch array for P alone.
+_BUFFERS = 8
 _LOCAL = threading.local()
 
 
 @contextmanager
 def _workspace(shape):
-    """Five float arrays of ``shape``, stacked, for one term kernel call.
+    """_BUFFERS float arrays of ``shape``, stacked, for one term kernel call.
 
-    They are views of this thread's five buffers of _CHUNK_NODES values, made
-    on first use and reused by every later block.  The buffers leave the thread
-    while in use, so a call nested in a kernel call (a gamma map that runs one)
-    makes its own; a block larger than they are gets fresh arrays.
+    They are views of this thread's _BUFFERS buffers of _CHUNK_NODES values,
+    made on first use and reused by every later block.  The buffers leave the
+    thread while in use, so a call nested in a kernel call (a gamma map that
+    runs one) makes its own; a block larger than they are gets fresh arrays.
     """
     buffers = getattr(_LOCAL, "buffers", None)
     if buffers is None:
-        buffers = np.empty((5, _CHUNK_NODES))
+        buffers = np.empty((_BUFFERS, _CHUNK_NODES))
     _LOCAL.buffers = None
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     try:
         if size > buffers.shape[1]:
-            yield np.empty((5, *shape))
+            yield np.empty((_BUFFERS, *shape))
         else:
-            yield buffers[:, :size].reshape(5, *shape)
+            yield buffers[:, :size].reshape(_BUFFERS, *shape)
     finally:
         _LOCAL.buffers = buffers
 
 
-def _zero_term(z, l0_model, rule):
-    """Weighted (Kronrod, Gauss) l = 0 terms of F and P (with the 1/2 Matsubara weight)."""
+def _integrands(pair, y, decay, out, want_pressure):
+    """y ln(1 - x), then with ``want_pressure`` y^2 x / (1 - x), summed over the pair, in ``out``.
+
+    x = r^2 e^-y.  ``out`` is the workspace past e^-y: each amplitude's buffer
+    (which may hold it) receives its x, F accumulates into the first, and the
+    other three serve P alone.  F is log1p(-x) at every node: 1 - x >= 1 - e^-y,
+    so rounding x costs at most about eps (1 + y) absolute in y ln(1 - x).
+    """
+    f_val = p_val = 0.0
+    if want_pressure:
+        one_minus_decay, p_out, scratch = out[2:]
+        np.negative(np.expm1(np.negative(y, out=one_minus_decay), out=one_minus_decay),
+                    out=one_minus_decay)
+    for r, buf in zip(pair, out):
+        r2 = np.square(r, out=buf)
+        if want_pressure:
+            # 1 - x as (1 - e^-y) + (1 - r^2) e^-y, which does not cancel as r^2 -> 1
+            denominator = np.multiply(np.subtract(1.0, r2, out=scratch), decay, out=scratch)
+            np.add(one_minus_decay, denominator, out=denominator)
+        x = np.multiply(r2, decay, out=buf)
+        if want_pressure:
+            p_val = np.add(p_val, np.divide(x, denominator, out=denominator), out=p_out)
+        f_val = np.add(f_val, np.log1p(np.negative(x, out=x), out=x), out=out[0])
+    f_val = np.multiply(y, f_val, out=f_val)
+    if not want_pressure:
+        return (f_val,)
+    return f_val, np.multiply(np.multiply(y, y, out=scratch), p_val, out=p_val)
+
+
+def _zero_term(z, l0_model, rule, want_pressure):
+    """(Kronrod, Gauss) l = 0 term of F, then of P with ``want_pressure``, weighted by 1/2."""
     y = rule.l0_nodes
     pair = l0_model.zero_frequency_reflection(y / (2.0 * z))
-    f_val, p_val = _accumulate(pair, y, np.exp(-y))
-    return 0.5 * (rule.l0_weights @ (y * f_val)), 0.5 * (rule.l0_weights @ (y * y * p_val))
+    with _workspace(y.shape) as (_, _, _, *out):
+        return [0.5 * (rule.l0_weights @ val)
+                for val in _integrands(pair, y, np.exp(-y), out, want_pressure)]
 
 
 def _positive_terms(z, temperature, model, indices, y_step, band, want_pressure):
     """(Kronrod, Gauss) rows of F term integrals for l >= 1, then of P ones with ``want_pressure``.
 
     ``band`` is the (nodes, weights) pair of one band of the rule; l need not
-    be an integer.  y, q = y/(2z), e^-y and the amplitudes are written into
-    the thread's :func:`_workspace`; the modes differ only in the integrand,
-    and the rows are fresh arrays.
+    be an integer.  y, q = y/(2z), e^-y, the amplitudes and the integrands are
+    written into the thread's :func:`_workspace`; the rows are fresh arrays.
     """
     nodes, weights = band
     idx = np.asarray(indices, dtype=float)
     xi = (2.0 * np.pi * CONSTANTS.k_B * temperature / CONSTANTS.hbar) * idx[:, None]
-    with _workspace((idx.size, nodes.size)) as (y, q, decay, *amplitudes):
+    with _workspace((idx.size, nodes.size)) as (y, q, decay, *out):
         # numpy copies a broadcast ufunc operand into a buffer of the block's size;
         # assigning it to an array does not allocate
         y[...] = nodes
         np.add(y_step * idx[:, None], y, out=y)
-        pair = model.reflection(xi, np.divide(y, 2.0 * z, out=q), temperature, amplitudes)
+        pair = model.reflection(xi, np.divide(y, 2.0 * z, out=q), temperature, out[:2])
         np.exp(np.negative(y, out=decay), out=decay)
-        if want_pressure:
-            # allocating on purpose: in place it speeds room-grid, whose peak
-            # memory grows with its speed until ROADMAP item 1 (then item 2)
-            f_val, p_val = _accumulate(pair, y, decay)
-            return [weights @ (y * f_val).T, weights @ (y * y * p_val).T]
-        f_val = _log_sum(pair, decay, amplitudes)
-        return [weights @ np.multiply(y, f_val, out=f_val).T]
+        return [weights @ val.T for val in _integrands(pair, y, decay, out, want_pressure)]
 
 
 def _terms(z, temperature, model, indices, y_step, rule, entropy):
@@ -438,9 +432,10 @@ def _matsubara_sum(z, temperature, model, l0_model, tolerance, level, entropy=Fa
                   np.array(_majorant_tail(truncated_from, y_step)))
         return sums, errors, count, zero[0, 0] / sums[0, 0]
 
-    zero_f, zero_p = _zero_term(z, l0_model, rule)
-    # the l = 0 term does not depend on T: D takes it through the k_B T prefactor only
-    zero = np.stack((zero_f, zero_f if entropy else zero_p))
+    zero = np.stack(_zero_term(z, l0_model, rule, not entropy))
+    if entropy:
+        # the l = 0 term does not depend on T: D takes it through the k_B T prefactor only
+        zero = np.concatenate((zero, zero))
     exact, head_end = _EXACT_TERMS, _EXACT_TERMS + len(_GREGORY)
     if zero[0, 0]:
         # the l = 0 term alone may already put the cut below the first Gregory terms

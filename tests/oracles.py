@@ -7,9 +7,10 @@ function integrals use composite fixed-order Gauss-Legendre panels or 30-digit
 mpmath tanh-sinh quadrature instead of the library's panel refinement.  The
 Matsubara oracle integrates every term adaptively in the in-plane wavevector,
 not on the library's fixed panels in the decay variable.  The reflection
-kernel references are the exception: they state the kernels' own operations
-as plain allocating expressions, so the in-place kernels can be compared
-with them bit for bit.
+kernel references (``fresnel_q_reference``, ``impedance_q_reference``) and the
+integrand reference (``integrands_reference``) are the exception: they state
+the engine's own operations as plain allocating expressions, so the in-place
+kernels and integrands can be compared with them bit for bit.
 """
 
 import itertools
@@ -235,7 +236,7 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
 
     rule = engine._rule(level)
     y_step = 4.0 * np.pi * sc.k * temperature * z / (sc.hbar * sc.c)
-    zero_f, zero_p = engine._zero_term(z, model, rule)
+    zero_f, zero_p = engine._zero_term(z, model, rule, True)
     terms_f, terms_p = [zero_f[:1]], [zero_p[:1]]
     count = int(y_stop / y_step)
     for start in range(1, count + 1, 256):
@@ -250,7 +251,7 @@ def matsubara_sum_direct(z, temperature, model, level=3, y_stop=80.0):
 
 
 # ---------------------------------------------------------------------------
-# reflection kernels as plain expressions
+# reflection kernels and integrands as plain expressions
 # ---------------------------------------------------------------------------
 
 
@@ -274,6 +275,24 @@ def impedance_q_reference(xi, q, impedance):
     z_xi = impedance * xi
     cq = CONSTANTS.c * q
     return (cq - z_xi) / (cq + z_xi), (xi - cq * impedance) / (xi + cq * impedance)
+
+
+def integrands_reference(pair, y, decay):
+    """Sum of both polarization integrands at the given nodes, in new arrays.
+
+    Returns the free-energy and the pressure integrand values, without the
+    y / y^2 measure factors.  The free-energy integrand is log1p(-x),
+    x = r^2 e^-y, at every node: 1 - x >= 1 - e^-y, so rounding x costs at
+    most about eps (1 + y) absolute in y ln(1 - x).
+    """
+    f_val, p_val = 0.0, 0.0
+    one_minus_decay = -np.expm1(-y)
+    for r in pair:
+        r2 = np.asarray(r, dtype=float) ** 2
+        x = r2 * decay
+        f_val = f_val + np.log1p(-x)
+        p_val = p_val + x / (one_minus_decay + (1.0 - r2) * decay)
+    return f_val, p_val
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from thermal_casimir.errors import ConvergenceError, DomainError
 from thermal_casimir.reflection import ReflectionPair
 
 from oracles import (finite_difference_pressure, ideal_metal_mp, ideal_metal_term_mp,
-                     integrands_mp, lifshitz_sum_quad, matsubara_sum_direct)
+                     integrands_mp, integrands_reference, lifshitz_sum_quad,
+                     matsubara_sum_direct)
 
 
 def no_reflection(xi, q, response, out=None):
@@ -179,10 +180,20 @@ class TestIntegrand:
         eps = np.finfo(float).eps
         y = np.geomspace(1e-9, 40.0, 241)
         r = np.full_like(y, math.sqrt(r2))
-        f_val, p_val = engine._accumulate((r,), y, np.exp(-y))
-        # the entropy pass's in-place form computes the same values bit for bit
-        in_place = engine._log_sum((r.copy(),), np.exp(-y), (np.empty_like(y),))
-        assert in_place.tobytes() == f_val.tobytes()
+        f_val, p_val = integrands_reference((r,), y, np.exp(-y))
+        # the engine's in-place form computes the same values bit for bit, with the
+        # amplitudes in their workspace buffers as the kernel leaves them
+        for amplitudes in ((r,), (r, np.linspace(0.0, 1.0, y.size))):
+            f_ref, p_ref = integrands_reference(amplitudes, y, np.exp(-y))
+            for want_pressure in (False, True):
+                with engine._workspace(y.shape) as (_, _, decay, *out):
+                    pair = out[: len(amplitudes)]
+                    for buf, amplitude in zip(pair, amplitudes):
+                        buf[...] = amplitude
+                    np.exp(-y, out=decay)
+                    values = engine._integrands(pair, y, decay, out, want_pressure)
+                    expected = (y * f_ref, y * y * p_ref)[: 1 + want_pressure]
+                    assert [v.tobytes() for v in values] == [e.tobytes() for e in expected]
         for y_i, r_i, f_i, p_i in zip(y, r, y * f_val, p_val):
             exact_f, exact_p = integrands_mp(r_i * r_i, y_i)
             assert abs(f_i - exact_f) <= 2.0 * eps * (1.0 + y_i), y_i
@@ -320,21 +331,24 @@ class TestTruncationAndErrors:
         assert peak < 8 * 2**20
 
     def test_warm_entropy_pass_allocates_no_block_sized_arrays(self, au_parameters):
-        # the F-only kernel writes every node-sized value into its thread's
-        # workspace; a kernel allocating them per block peaked near 0.58 MiB
+        # the F-only kernel of the entropy pass and the F+P one both write every
+        # node-sized value into their thread's workspace; kernels allocating them
+        # per block peaked near 0.58 MiB (F only) and 0.45 MiB (F+P)
         import tracemalloc
 
         floor = 0.1 * au_parameters.gamma
         residual = tc.Drude(dataclasses.replace(
             au_parameters, gamma_of_T=tc.PowerLawGamma(au_parameters.gamma, floor=floor)))
-        engine.entropy_pass(1e-6, 1.0, residual)  # fills the rule cache and the workspace
-        tracemalloc.start()
-        try:
-            engine.entropy_pass(1e-6, 1.0, residual)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * 2**20
+        config = tc.EvaluationConfig(rel_tolerance=1e-9)
+        for call in (engine.entropy_pass, partial(tc.free_energy, config=config)):
+            call(1e-6, 1.0, residual)  # fills the rule cache and the workspace
+            tracemalloc.start()
+            try:
+                call(1e-6, 1.0, residual)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.25 * 2**20, call
 
     def test_pass_nested_in_a_kernel_call_leaves_the_outer_pass_exact(self, au_parameters,
                                                                       drude_au):
@@ -646,7 +660,7 @@ def test_partial_sum_plus_majorant_bounds_the_sum(model, log_z, log_y_step, head
     exact = 1 + int(head / y_step)
     temperature = y_step * CONSTANTS.hbar * CONSTANTS.c / (4.0 * np.pi * CONSTANTS.k_B * z)
     rule = engine._rule(2)
-    partial = (np.stack(engine._zero_term(z, model, rule))[:, 0]
+    partial = (np.stack(engine._zero_term(z, model, rule, True))[:, 0]
                + engine._terms(z, temperature, model, np.arange(1, exact), y_step, rule,
                                False)[:, 0].sum(axis=1))
     bound = np.abs(partial) + engine._majorant_tail(exact * y_step, y_step)
